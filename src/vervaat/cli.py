@@ -10,23 +10,24 @@ byte-identical output regardless of the thread count.  Exit codes:
 from __future__ import annotations
 
 import json
-import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 
-from .engine import StepBudgetError, run_ciaftp
+from .engine import StepBudgetError, run_ciaftp, sample_threaded
 from .oracle import validate_run
 from .runtime import absorption_bracket, small_beta_constant, theorem_bounds
 from .streams import UniformStream
 from .updates import make_params
 
 _BUDGET_EXIT = 3
+#: CSV rows formatted per write, so no full list of lines is ever built.
+_CSV_ROWS = 8192
 
 
 def _fmt(x: float) -> str:
-    """17 significant digits: enough for exact binary64 round-trips."""
+    """17 significant digits: enough for exact binary64 round-trips (the
+    CSV writer of ``sample`` inlines the same format)."""
     return f"{x:.17g}"
 
 
@@ -82,26 +83,6 @@ def _params_or_usage(beta, **kwargs):
         raise click.UsageError(str(exc))
 
 
-def _sample_rows(params, seed, lo, hi):
-    stream = UniformStream(seed, lo)
-    rows = []
-    for i in range(lo, hi):
-        stream.restart(i)
-        r = run_ciaftp(params, stream)
-        rows.append((i, r.value, r.steps, r.d0))
-    return rows
-
-
-def _collect_rows(params, n, seed, threads):
-    if threads <= 1:
-        return _sample_rows(params, seed, 0, n)
-    chunk = math.ceil(n / threads)
-    spans = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(lambda span: _sample_rows(params, seed, *span), spans)
-        return [row for part in parts for row in part]
-
-
 @main.command()
 @_beta_option
 @click.option("--n", type=int, default=10, show_default=True, help="Number of samples.")
@@ -123,19 +104,38 @@ def sample(beta, n, seed, threads, fmt, out):
         raise click.UsageError(f"--threads must be >= 1, got {threads}")
     params = _params_or_usage(beta)
     try:
-        rows = _collect_rows(params, n, seed, threads)
+        values, steps, d0s = sample_threaded(params, n, seed, threads)
     except StepBudgetError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(_BUDGET_EXIT)
-    if fmt == "csv":
-        lines = ["index,y_value,steps,d0"]
-        lines += [f"{i},{_fmt(v)},{s},{d}" for i, v, s, d in rows]
-        _emit(out, "\n".join(lines) + "\n")
-    else:
+    if fmt == "json":
         payload = [
-            {"index": i, "y_value": v, "steps": s, "d0": d} for i, v, s, d in rows
+            {"index": i, "y_value": v, "steps": s, "d0": d}
+            for i, (v, s, d) in enumerate(
+                zip(values.tolist(), steps.tolist(), d0s.tolist())
+            )
         ]
         _emit(out, json.dumps(payload, indent=2) + "\n")
+        return
+    fh, close = _open_out(out)
+    try:
+        fh.write("index,y_value,steps,d0\n")
+        for lo in range(0, n, _CSV_ROWS):
+            hi = min(lo + _CSV_ROWS, n)
+            fh.write(
+                "".join(
+                    f"{i},{v:.17g},{s},{d}\n"
+                    for i, v, s, d in zip(
+                        range(lo, hi),
+                        values[lo:hi].tolist(),
+                        steps[lo:hi].tolist(),
+                        d0s[lo:hi].tolist(),
+                    )
+                )
+            )
+    finally:
+        if close:
+            fh.close()
 
 
 @main.command()

@@ -24,15 +24,33 @@ for the walk direction followed by one for the imputation (zeros redrawn),
 then during the forward phase one uniform per lazy second driver.  Second
 drivers come from ``w2_stream`` when one is supplied (so reconstructions
 can replay them) and otherwise continue on the main stream.
+
+Bulk sampling (``sample_many``) follows the same order without a
+per-sample stream.  When the geometric start takes one uniform and no
+imputation uniform is zero, a sample's uniforms sit at fixed positions:
+position 0 is the geometric start, 2k - 1 and 2k are the direction and the
+imputation of backward step k, and the forward pass draws its second
+drivers from position 2T + 1 on.  Uniform p is word p % 4 of Philox block
+p // 4 (``streams.philox_block``), so a batch of samples advances one
+backward step per round, each round evaluating at most one new block for
+the samples still running.  Samples that hit a zero, run deeper than the
+lockstep depth, or are among the last few of a batch resume on the scalar
+path (``run_ciaftp``'s loop) from their walk state and stream position.
+Every value that decides the output is computed as the scalar path computes
+it: powers U ** (1/beta) with Python's (libm's) ``pow`` element by element,
+because numpy's vectorized ``power`` differs from it in the last bit for
+some inputs (skipped when 1/beta == 1), and the geometric start with
+``math.log`` wherever numpy's log could round it differently.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .streams import UniformStream, geometric_half
+from .streams import UniformStream, _geometric_array, geometric_half, philox_block
 from .updates import TWO_THIRDS, VervaatParams, coupler_collapses
 
 __all__ = [
@@ -44,7 +62,19 @@ __all__ = [
     "run_ciaftp",
     "forward_reconstruct",
     "sample_many",
+    "sample_threaded",
 ]
+
+
+#: Samples advanced together in one lockstep batch.
+_BATCH_ROWS = 1 << 15
+#: Backward steps after which a sample still running resumes on the scalar
+#: path (a Dickman draw needs more than 64 steps with probability ~2e-5).
+_LOCKSTEP_DEPTH = 64
+#: Once fewer samples than this are running, the batch hands them to the
+#: scalar path, because a numpy round has a fixed cost of a few hundred
+#: microseconds; smaller batches run on the scalar path from the start.
+_MIN_ACTIVE = 512
 
 
 class StepBudgetError(RuntimeError):
@@ -159,6 +189,22 @@ def run_ciaftp(
     """
     d0 = draw_initial_dominating(params, stream)
     path = BackwardPath(d_states=[d0])
+    return _complete(params, path, stream, w2_stream, collect_path)
+
+
+def _complete(
+    params: VervaatParams,
+    path: BackwardPath,
+    stream,
+    w2_stream=None,
+    collect_path: bool = False,
+) -> SampleResult:
+    """Grow ``path`` backwards until it coalesces, then run the forward pass.
+
+    ``stream`` must be positioned just after the uniforms that built
+    ``path``; this is how :func:`run_ciaftp` continues from its start and
+    how :func:`sample_many` resumes a sample the batch did not finish.
+    """
     budget = params.step_budget
     while path.coalesce_index is None:
         if len(path.imputed_u) >= budget:
@@ -182,7 +228,7 @@ def run_ciaftp(
     return SampleResult(
         value=x,
         steps=t_coal,
-        d0=d0,
+        d0=path.d_states[0],
         path=path if collect_path else None,
         x_path=x_path,
     )
@@ -226,7 +272,10 @@ def sample_many(
 
     Returns (values, steps, d0) arrays.  Results depend only on
     (seed, substream index), never on batching or worker layout, so any
-    partition of the index range reproduces the same rows.
+    partition of the index range reproduces the same rows, and each row is
+    bit for bit what :func:`run_ciaftp` draws on that substream.  Raises
+    :class:`StepBudgetError` for the first row, in index order, whose
+    backward phase exceeds the step budget.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -234,10 +283,176 @@ def sample_many(
     steps = np.empty(n, dtype=np.int64)
     d0s = np.empty(n, dtype=np.int64)
     stream = UniformStream(seed, first_index)
-    for i in range(n):
-        stream.restart(first_index + i)
-        r = run_ciaftp(params, stream)
-        values[i] = r.value
-        steps[i] = r.steps
-        d0s[i] = r.d0
+    # batches of equal size: a small last batch would pay for whole rounds
+    batches = max(1, -(-n // _BATCH_ROWS))
+    bounds = [n * b // batches for b in range(batches + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        _sample_batch(
+            params, stream, first_index + lo, values[lo:hi], steps[lo:hi], d0s[lo:hi]
+        )
     return values, steps, d0s
+
+
+def sample_threaded(
+    params: VervaatParams, n: int, seed: int, threads: int = 1
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`sample_many` with the index range split over ``threads``
+    worker threads.  Rows depend only on (seed, index), so the result is
+    the same for every thread count."""
+    if threads <= 1 or n <= 1:
+        return sample_many(params, n, seed)
+    chunk = -(-n // threads)
+    spans = [(lo, min(chunk, n - lo)) for lo in range(0, n, chunk)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        parts = list(
+            pool.map(lambda span: sample_many(params, span[1], seed, span[0]), spans)
+        )
+    return tuple(np.concatenate([p[k] for p in parts]) for k in range(3))
+
+
+def _pow(u: np.ndarray, inv_beta: float) -> np.ndarray:
+    """u ** inv_beta element by element with libm's pow, as the scalar path."""
+    if inv_beta == 1.0:
+        return u
+    return np.array([x**inv_beta for x in u.tolist()], dtype=float)
+
+
+def _sample_batch(params, stream, first, values, steps, d0s):
+    """Fill the rows of substreams first, first + 1, ... in lockstep.
+
+    ``stream`` is the scalar path's stream, re-pointed at each sample that
+    resumes there.
+    """
+    if values.size < _MIN_ACTIVE:
+        resume = [(r, 0, 0) for r in range(values.size)]
+        _resume(params, stream, first, [], resume, values, steps, d0s)
+        return
+    index = np.arange(values.size, dtype=np.uint64) + np.uint64(first)
+    hist, t_coal, block, resume = _backward(params, stream.seed, index, d0s)
+    _forward(params, stream.seed, index, hist, t_coal, block, values)
+    locked = np.flatnonzero(t_coal)
+    steps[locked] = t_coal[locked]
+    if resume:
+        _resume(params, stream, first, hist, resume, values, steps, d0s)
+
+
+def _backward(params, seed, index, d0s):
+    """Backward phase of the rows of substreams ``index``, in lockstep.
+
+    Writes each row's D(0) to ``d0s`` and returns ``(hist, t_coal, block,
+    resume)``: per backward step k, ``hist[k - 1]`` holds (rows taking it,
+    D(-k), imputed U(-k), W(-k)(1), coalesced) for the rows still in
+    lockstep, rows in ascending order; ``t_coal`` is T for the rows that
+    coalesced (0 for the others) and ``block`` their last Philox block;
+    ``resume`` lists (row, steps done, stream position) for the rows left
+    to the scalar path.
+    """
+    m = index.size
+    inv_beta = params.inv_beta
+    floor = params.x0 - 1
+    hist = []
+    t_coal = np.zeros(m, dtype=np.int64)
+    block = np.empty((4, m))
+    blk = philox_block(seed, index, 0)
+    zero = blk[0] == 0.0  # the geometric start redraws it: restart these rows
+    resume = [(int(r), 0, 0) for r in np.flatnonzero(zero)]
+    d0s[:] = params.x0 - 2 + _geometric_array(np.where(zero, 0.5, blk[0]))
+    rows = np.flatnonzero(~zero)
+    d = d0s[rows]
+    blk = blk[:, rows]
+    depth = min(_LOCKSTEP_DEPTH, params.step_budget)
+    k = 0
+    while rows.size:
+        if rows.size < _MIN_ACTIVE or k >= depth:
+            resume += [(int(r), k, 2 * k + 1) for r in rows]
+            break
+        k += 1
+        u_dir = blk[(2 * k - 1) % 4]
+        if k % 2 == 0:
+            blk = philox_block(seed, index[rows], k // 2)
+        u = blk[(2 * k) % 4]
+        zero = u == 0.0  # the imputation redraws it: redo step k on the scalar path
+        if zero.any():
+            resume += [(int(r), k - 1, 2 * k - 1) for r in rows[zero]]
+            keep = ~zero
+            rows, d, u_dir, u = rows[keep], d[keep], u_dir[keep], u[keep]
+            blk = blk[:, keep]
+        d_new = np.where(u_dir > TWO_THIRDS, d + 1, np.maximum(d - 1, floor))
+        u_imp = np.where(d == d_new + 1, TWO_THIRDS + u / 3.0, TWO_THIRDS * u)
+        w1 = _pow(u_imp, inv_beta)
+        done = coupler_collapses(d_new, w1)
+        hist.append((rows, d_new, u_imp, w1, done))
+        if done.any():
+            t_coal[rows[done]] = k
+            block[:, rows[done]] = blk[:, done]
+            going = ~done
+            rows, d, blk = rows[going], d_new[going], blk[:, going]
+        else:
+            d = d_new
+    return hist, t_coal, block, resume
+
+
+def _forward(params, seed, index, hist, t_coal, block, values):
+    """Forward pass of the rows that coalesced in :func:`_backward`.
+
+    Runs from the deepest step down.  A row's second drivers start at
+    position 2T + 1, which always lies in ``block``, the block that holds
+    its last imputation uniform; later ones refill it as they cross into
+    the next block.
+    """
+    inv_beta = params.inv_beta
+    locked = t_coal > 0
+    rows = np.flatnonzero(locked)
+    pos = 2 * t_coal + 1
+    x = np.zeros(t_coal.size)
+    x[rows] = _pow(block[pos[rows] % 4, rows], inv_beta)
+    pos += 1
+    for rows_k, _, _, w1_k, done_k in reversed(hist[:-1]):
+        take = ~done_k & locked[rows_k]  # the rows with T > k
+        r = rows_k[take]
+        w1 = w1_k[take]
+        xr = x[r]
+        collapse = coupler_collapses(xr, w1)
+        new = w1 * (1.0 + xr)
+        if collapse.any():
+            c = r[collapse]
+            pc = pos[c]
+            refill = pc % 4 == 0
+            if refill.any():
+                cf = c[refill]
+                block[:, cf] = philox_block(seed, index[cf], pc[refill] // 4)
+            new[collapse] = _pow(block[pc % 4, c], inv_beta)
+            pos[c] = pc + 1
+        x[r] = new
+    values[rows] = x[rows]
+
+
+def _resume(params, stream, first, hist, resume, values, steps, d0s):
+    """Finish the rows :func:`_backward` left, in row order, on the scalar
+    path, each from its walk state and stream position."""
+    resume.sort()
+    if hist:
+        # D(-j) and U(-j), j = 1 .. k, of the resumed rows from the lockstep
+        rrows = np.array([r for r, _, _ in resume])
+        rsteps = np.array([k for _, k, _ in resume])
+        d_hist = np.zeros((rrows.size, len(hist)), dtype=np.int64)
+        u_hist = np.zeros((rrows.size, len(hist)))
+        for j, (rows_j, d_j, u_j, _, _) in enumerate(hist):
+            sel = rsteps > j
+            at = np.searchsorted(rows_j, rrows[sel])
+            d_hist[sel, j] = d_j[at]
+            u_hist[sel, j] = u_j[at]
+        hist.clear()  # the resumed rows may run long; free what they no longer need
+    for at, (r, k, start) in enumerate(resume):
+        stream.restart(first + r)
+        if start == 0:
+            res = run_ciaftp(params, stream)
+        else:
+            path = BackwardPath(d_states=[int(d0s[r])])
+            if k:
+                path.d_states += d_hist[at, :k].tolist()
+                path.imputed_u += u_hist[at, :k].tolist()
+            res = _complete(params, path, stream.seek(start))
+        values[r] = res.value
+        steps[r] = res.steps
+        d0s[r] = res.d0

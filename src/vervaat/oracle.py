@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import sample_many
+from .engine import sample_threaded
 from .updates import VervaatParams
 
 __all__ = [
@@ -47,7 +47,10 @@ EULER_GAMMA = 0.577215664901533
 #: engine index.
 _ORACLE_STREAM_INDEX = 1 << 62
 
-_BATCH_ROWS = 65536
+#: Series rows drawn per block; the output does not depend on it, because
+#: the uniforms are consumed in the same order.  Larger blocks only raise
+#: the peak memory (n * depth doubles per block, several times over).
+_BATCH_ROWS = 16384
 
 
 def truncated_sum_sample(params: VervaatParams, depth: int, stream) -> float:
@@ -216,27 +219,6 @@ _DICKMAN_TAILS = (
 )
 
 
-def _sample_parallel(params, n, seed, threads):
-    """Fan sample_many out over worker threads; sample i is always on
-    substream i, so the result is identical for every thread count."""
-    if threads <= 1:
-        return sample_many(params, n, seed)
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunk = math.ceil(n / threads)
-    spans = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(
-            pool.map(
-                lambda span: sample_many(
-                    params, span[1] - span[0], seed, first_index=span[0]
-                ),
-                spans,
-            )
-        )
-    return tuple(np.concatenate([p[k] for p in parts]) for k in range(3))
-
-
 def validate_run(
     params: VervaatParams,
     n: int,
@@ -259,7 +241,7 @@ def validate_run(
         raise ValueError(f"n must be at least 10^4, got {n}")
     from .streams import UniformStream
 
-    values, steps, _ = _sample_parallel(params, n, seed, threads)
+    values, steps, _ = sample_threaded(params, n, seed, threads)
     if depth is None:
         depth = oracle_depth(params.beta)
     oracle_values = truncated_sum_batch(

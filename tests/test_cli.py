@@ -1,4 +1,5 @@
 import json
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -159,6 +160,20 @@ class TestTrace:
         for s in range(1, len(d_states)):
             up_move = d_states[s - 1] == d_states[s] + 1
             assert up_move == (imputed[s - 1] > 2.0 / 3.0)
+
+    @pytest.mark.parametrize("seed", ["-1", "-5", str(2**63 + 1)])
+    def test_high_seed_matches_sample_row_zero(self, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            tr = run("trace", "--beta", "1", "--seed", seed)
+            sample_out = run("sample", "--beta", "1", "--n", "1", "--seed", seed)
+        y_value = sample_out.output.strip().split("\n")[1].split(",")[1]
+        assert tr.output.strip().split("\n")[-1] == f"X0 = {y_value}"
+
+    def test_negative_seeds_differ(self):
+        minus_one = run("trace", "--beta", "1", "--seed", "-1")
+        minus_five = run("trace", "--beta", "1", "--seed", "-5")
+        assert minus_one.output.split("\n")[-2] != minus_five.output.split("\n")[-2]
 
     def test_n_must_be_one(self):
         r = CliRunner().invoke(main, ["trace", "--beta", "1", "--n", "2"])

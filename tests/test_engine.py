@@ -16,6 +16,7 @@ from vervaat import (
     sample_many,
 )
 
+import vervaat.engine as engine_mod
 from conftest import ScriptedStream, audit_path
 
 
@@ -187,3 +188,119 @@ class TestSampleMany:
         values = batch_by_beta[beta][0]
         se = values.std() / math.sqrt(values.size)
         assert abs(values.mean() - beta) <= 4 * se
+
+
+def per_row(params, n, seed, first_index=0, stream_type=UniformStream):
+    """The reference for sample_many: run_ciaftp on each row's substream."""
+    rows = [
+        run_ciaftp(params, stream_type(seed, first_index + i)) for i in range(n)
+    ]
+    return (
+        np.array([r.value for r in rows]),
+        np.array([r.steps for r in rows], dtype=np.int64),
+        np.array([r.d0 for r in rows], dtype=np.int64),
+    )
+
+
+def assert_same_rows(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+class TestBatchedEngine:
+    """sample_many advances rows in numpy lockstep; every row must still be
+    bit for bit what run_ciaftp draws on its substream."""
+
+    @pytest.fixture(autouse=True)
+    def low_active_floor(self, monkeypatch):
+        # lets a few hundred rows exercise the lockstep rounds, the handoff
+        # at the lockstep depth and the handoff of the last running rows
+        monkeypatch.setattr(engine_mod, "_MIN_ACTIVE", 64)
+
+    @pytest.mark.parametrize(
+        "beta, n, seed, first_index",
+        [
+            (0.25, 3000, 41, 0),
+            (1.0, 3000, 42, 0),
+            (1.0, 2000, 43, 123_456_789),
+            (2.0, 400, 44, 0),
+            (3.0, 300, 45, 7),
+        ],
+    )
+    def test_matches_per_row_reference(self, beta, n, seed, first_index, monkeypatch):
+        params = make_params(beta)
+        resumed = []
+        complete = engine_mod._complete
+
+        def spy(params_, path, *args):
+            if len(path.d_states) > 1:
+                resumed.append(len(path.imputed_u))
+            return complete(params_, path, *args)
+
+        monkeypatch.setattr(engine_mod, "_complete", spy)
+        got = sample_many(params, n, seed, first_index=first_index)
+        monkeypatch.setattr(engine_mod, "_complete", complete)
+        assert_same_rows(got, per_row(params, n, seed, first_index))
+        # the last rows of the batch resumed mid-walk on the scalar path
+        assert resumed
+
+    @pytest.mark.parametrize("n", [0, 1, 10])
+    def test_tiny_batches(self, dickman, n):
+        assert_same_rows(sample_many(dickman, n, 46, 5), per_row(dickman, n, 46, 5))
+
+    def test_zero_uniforms_resume_on_the_scalar_path(self, dickman, monkeypatch):
+        # (index, position) of uniforms forced to 0: a geometric start, the
+        # imputation of backward steps 1 and 2, a walk direction (a zero
+        # there is a valid down-move, no redraw), and a second driver
+        n, seed = 600, 47
+        _, steps, _ = per_row(dickman, n, seed)
+        zeros = {(3, 0), (5, 2), (8, 4), (9, 1), (11, 2 * int(steps[11]) + 1)}
+
+        class ZeroedStream(UniformStream):
+            __slots__ = ()
+
+            def next_uniform(self):
+                key = (self.index, self.position)
+                u = super().next_uniform()
+                return 0.0 if key in zeros else u
+
+        real_block = engine_mod.philox_block
+
+        def zeroed_block(seed_, index, block):
+            out = real_block(seed_, index, block)
+            blocks = np.broadcast_to(block, np.shape(index)).tolist()
+            for col, (i, b) in enumerate(zip(np.asarray(index).tolist(), blocks)):
+                for word in range(4):
+                    if (i, 4 * b + word) in zeros:
+                        out[word, col] = 0.0
+            return out
+
+        resumed = set()
+        complete = engine_mod._complete
+
+        def spy(params_, path, stream, *args):
+            resumed.add(stream.index)
+            return complete(params_, path, stream, *args)
+
+        want = per_row(dickman, n, seed, stream_type=ZeroedStream)
+        monkeypatch.setattr(engine_mod, "UniformStream", ZeroedStream)
+        monkeypatch.setattr(engine_mod, "philox_block", zeroed_block)
+        monkeypatch.setattr(engine_mod, "_complete", spy)
+        got = sample_many(dickman, n, seed)
+        assert_same_rows(got, want)
+        assert {3, 5, 8} <= resumed  # the rows whose zero is redrawn
+        plain = per_row(dickman, n, seed)
+        for i, _ in zeros:
+            assert got[0][i] != plain[0][i]
+
+    def test_step_budget_error_for_the_first_row_that_aborts(self):
+        with pytest.warns(StepBudgetWarning):
+            params = make_params(1.0, step_budget=2)
+        steps = per_row(make_params(1.0), 400, 48)[1]
+        first_abort = int(np.argmax(steps > 2))
+        assert first_abort > 0
+        head = sample_many(params, first_abort, 48)
+        assert_same_rows(head, per_row(params, first_abort, 48))
+        with pytest.raises(StepBudgetError):
+            sample_many(params, 400, 48)

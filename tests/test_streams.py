@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vervaat import StreamFactory, UniformStream, geometric_half, spawn_substream
+from vervaat.streams import philox_block
 
 from conftest import ScriptedStream
 
@@ -58,6 +59,15 @@ def test_restart_equals_fresh_stream():
     assert s.position == 500
 
 
+def test_seek_equals_fresh_stream_after_that_many_draws():
+    ref = UniformStream(99, 4).uniforms(40)
+    s = UniformStream(99, 4)
+    for position in (0, 1, 3, 4, 9, 31, 17):
+        s.seek(position)
+        assert s.next_uniform() == ref[position]
+        assert s.position == position + 1
+
+
 def test_negative_index_rejected():
     with pytest.raises(ValueError):
         UniformStream(1, -1)
@@ -86,6 +96,45 @@ def test_substreams_uncorrelated():
 def test_uniform_mean():
     u = UniformStream(123456).uniforms(1_000_000)
     assert abs(u.mean() - 0.5) < 0.002
+
+
+# -- seeds of 64 bits and the vectorized Philox ------------------------------
+
+PHILOX_SEEDS = (0, 1, 2**63 + 12345, 2**64 - 1)
+PHILOX_INDICES = (0, 1, 77, 1 << 62)
+
+
+@pytest.mark.parametrize("seed", PHILOX_SEEDS)
+@pytest.mark.parametrize("index", PHILOX_INDICES)
+def test_philox_block_matches_numpy_philox(seed, index):
+    key = np.array([seed, index], dtype=np.uint64)
+    ref = np.random.Generator(np.random.Philox(key=key)).random(64)
+    got = np.concatenate([philox_block(seed, [index], b)[:, 0] for b in range(16)])
+    assert np.array_equal(got, ref)
+    assert np.array_equal(UniformStream(seed, index).uniforms(64), ref)
+
+
+def test_philox_block_per_row_block_numbers():
+    indices = np.arange(12)
+    blocks = np.arange(12) * 3
+    got = philox_block(5, indices, blocks)
+    for i, b in zip(indices.tolist(), blocks.tolist()):
+        ref = UniformStream(5, i).uniforms(4 * b + 4)[4 * b :]
+        assert np.array_equal(got[:, i], ref)
+
+
+def test_seeds_above_2_63_are_not_rounded():
+    # numpy rounds a key tuple through float64, which merged these seeds
+    a = UniformStream(2**63 + 1, 1 << 62).uniforms(8)
+    b = UniformStream(2**63 + 7, 1 << 62).uniforms(8)
+    assert not np.array_equal(a, b)
+
+
+def test_negative_seed_is_its_64_bit_mask():
+    fresh = UniformStream(-5, 3)
+    assert fresh.seed == 2**64 - 5
+    restarted = UniformStream(-5, 0).restart(3)
+    assert np.array_equal(fresh.uniforms(16), restarted.uniforms(16))
 
 
 # -- geometric draws ---------------------------------------------------------
