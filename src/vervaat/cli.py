@@ -2,7 +2,7 @@
 
 Outputs are machine-readable and reproducible: sample row i is always
 drawn on substream i of the given seed, so the same invocation produces
-byte-identical output regardless of the thread count.  Exit codes:
+byte-identical output (``--threads`` is accepted but ignored).  Exit codes:
 0 success (all validation checks passed), 1 validation failure,
 2 bad arguments, 3 step-budget abort.
 """
@@ -14,7 +14,7 @@ import sys
 
 import click
 
-from .engine import StepBudgetError, run_ciaftp, sample_threaded
+from .engine import StepBudgetError, run_ciaftp, sample_many
 from .oracle import validate_run
 from .runtime import absorption_bracket, small_beta_constant, theorem_bounds
 from .streams import UniformStream
@@ -27,8 +27,20 @@ _CSV_ROWS = 8192
 
 def _fmt(x: float) -> str:
     """17 significant digits: enough for exact binary64 round-trips (the
-    CSV writer of ``sample`` inlines the same format)."""
+    CSV writer of ``sample`` uses the same format)."""
     return f"{x:.17g}"
+
+
+def _csv_rows(first: int, values, steps, d0s) -> str:
+    """CSV lines ``index,y_value,steps,d0`` for rows first, first + 1, ...,
+    formatted by one ``%`` operation."""
+    m = len(values)
+    flat = [None] * (4 * m)
+    flat[0::4] = range(first, first + m)
+    flat[1::4] = values.tolist()
+    flat[2::4] = steps.tolist()
+    flat[3::4] = d0s.tolist()
+    return ("%d,%.17g,%d,%d\n" * m) % tuple(flat)
 
 
 def _open_out(out):
@@ -44,6 +56,16 @@ def _emit(out, text):
     finally:
         if close:
             fh.close()
+
+
+def _threads_option(f):
+    return click.option(
+        "--threads",
+        type=int,
+        default=1,
+        show_default=True,
+        help="Deprecated and ignored; must be >= 1.",
+    )(f)
 
 
 def _beta_option(f):
@@ -87,7 +109,7 @@ def _params_or_usage(beta, **kwargs):
 @_beta_option
 @click.option("--n", type=int, default=10, show_default=True, help="Number of samples.")
 @_seed_option
-@click.option("--threads", type=int, default=1, show_default=True)
+@_threads_option
 @click.option(
     "--format",
     "fmt",
@@ -104,7 +126,7 @@ def sample(beta, n, seed, threads, fmt, out):
         raise click.UsageError(f"--threads must be >= 1, got {threads}")
     params = _params_or_usage(beta)
     try:
-        values, steps, d0s = sample_threaded(params, n, seed, threads)
+        values, steps, d0s = sample_many(params, n, seed)
     except StepBudgetError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(_BUDGET_EXIT)
@@ -122,17 +144,7 @@ def sample(beta, n, seed, threads, fmt, out):
         fh.write("index,y_value,steps,d0\n")
         for lo in range(0, n, _CSV_ROWS):
             hi = min(lo + _CSV_ROWS, n)
-            fh.write(
-                "".join(
-                    f"{i},{v:.17g},{s},{d}\n"
-                    for i, v, s, d in zip(
-                        range(lo, hi),
-                        values[lo:hi].tolist(),
-                        steps[lo:hi].tolist(),
-                        d0s[lo:hi].tolist(),
-                    )
-                )
-            )
+            fh.write(_csv_rows(lo, values[lo:hi], steps[lo:hi], d0s[lo:hi]))
     finally:
         if close:
             fh.close()
@@ -180,7 +192,7 @@ def analyze(beta, truncation, out):
     default=None,
     help="Oracle series depth (default: tail bias below 1e-9).",
 )
-@click.option("--threads", type=int, default=1, show_default=True)
+@_threads_option
 @_out_option
 def validate(beta, n, seed, depth, threads, out):
     """Compare the sampler against the series oracle; exit 1 on failure."""
@@ -203,13 +215,22 @@ def validate(beta, n, seed, depth, threads, out):
 @_beta_option
 @_seed_option
 @click.option("--n", type=int, default=1, help="Must be 1: trace is a single run.")
+@click.option(
+    "--index",
+    type=int,
+    default=0,
+    show_default=True,
+    help="Row of `sample` (same seed) to replay.",
+)
 @_out_option
-def trace(beta, seed, n, out):
+def trace(beta, seed, n, index, out):
     """Render one run: backward walk, imputed uniforms, forward trajectory."""
     if n != 1:
         raise click.UsageError(f"trace runs a single sample; --n must be 1, got {n}")
+    if index < 0:
+        raise click.UsageError(f"--index must be >= 0, got {index}")
     params = _params_or_usage(beta)
-    stream = UniformStream(seed, 0)  # matches sample row 0 exactly
+    stream = UniformStream(seed, index)  # matches sample row `index` exactly
     try:
         r = run_ciaftp(params, stream, collect_path=True)
     except StepBudgetError as exc:

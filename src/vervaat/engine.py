@@ -1,52 +1,39 @@
 """Perfect sampling by coupling into and from the past.
 
-One sample is produced in two phases.
+Backward phase: the dominating walk starts at time 0 from its stationary
+law (``draw_initial_dominating``: a geometric shifted to the floor x0 - 1)
+and grows backwards.  Each backward step imputes the uniform that drove the
+observed forward transition from its conditional law: uniform on (2/3, 1)
+for a forward up-move, on (0, 2/3] for a down-move or hold.  Step T
+coalesces when W(1) = U^(1/beta) <= 1/(D + 1), because the multigamma
+coupler then maps every state in [0, D] to one point.  Forward phase: the
+chain restarts there at a fresh X(-T+1) = W(2) and runs to time 0 with the
+imputed first drivers, drawing second drivers only for the collapsing
+branch.  X(0) is an exact draw from the stationary perpetuity law.
 
-Backward phase: the dominating walk is started at time 0 from its exact
-stationary law (a geometric shifted to the floor x0 - 1, drawn via
-``draw_initial_dominating``) and grown one step backwards at a time.  For
-each backward step the uniform that would have driven the observed forward
-transition is imputed from its conditional law: uniform on (2/3, 1) for a
-forward up-move, uniform on (0, 2/3] for a forward down-move or hold.  The
-step coalesces as soon as the imputed driver W(1) = U^(1/beta) falls to
-1/(D + 1) or below, because the multigamma coupler then maps *every* state
-in [0, D] to the same point.
+Uniforms are consumed in a fixed order, so runs replay exactly: the start,
+then per backward step a direction and an imputation (zeros redrawn), then
+the second drivers (from ``w2_stream`` if given).  Without zeros, uniforms
+2k - 1 and 2k drive step k and the second drivers start at 2T + 1.
 
-Forward phase: from the coalescence time -T the chain restarts at a single
-point X(-T+1) = W(2), a fresh draw, and is rolled forward to time 0 with
-the coupler, reusing the imputed first drivers and drawing second drivers
-lazily (only when the collapsing branch needs one).  X(0) is an exact draw
-from the stationary perpetuity law.
-
-Stream consumption order per sample (fixed so runs replay exactly): one or
-more uniforms for the geometric start, then per backward step one uniform
-for the walk direction followed by one for the imputation (zeros redrawn),
-then during the forward phase one uniform per lazy second driver.  Second
-drivers come from ``w2_stream`` when one is supplied (so reconstructions
-can replay them) and otherwise continue on the main stream.
-
-Bulk sampling (``sample_many``) follows the same order without a
-per-sample stream.  When the geometric start takes one uniform and no
-imputation uniform is zero, a sample's uniforms sit at fixed positions:
-position 0 is the geometric start, 2k - 1 and 2k are the direction and the
-imputation of backward step k, and the forward pass draws its second
-drivers from position 2T + 1 on.  Uniform p is word p % 4 of Philox block
-p // 4 (``streams.philox_block``), so a batch of samples advances one
-backward step per round, each round evaluating at most one new block for
-the samples still running.  Samples that hit a zero, run deeper than the
-lockstep depth, or are among the last few of a batch resume on the scalar
-path (``run_ciaftp``'s loop) from their walk state and stream position.
-Every value that decides the output is computed as the scalar path computes
-it: powers U ** (1/beta) with Python's (libm's) ``pow`` element by element,
-because numpy's vectorized ``power`` differs from it in the last bit for
-some inputs (skipped when 1/beta == 1), and the geometric start with
-``math.log`` wherever numpy's log could round it differently.
+``run_ciaftp`` takes its first 64 steps one at a time (``backward_extend``),
+then chunks as long as the walk so far, of at most 4096 steps: the walk is
+a reflected (Lindley) random walk, so a chunk's states follow from a
+cumulative sum and minimum of its +-1 moves.  ``sample_many`` advances
+batches one step per round on Philox blocks (uniform p is word p % 4 of
+block p // 4) and resumes on ``run_ciaftp``'s path the samples that hit a
+zero, pass the lockstep depth or are among a batch's last few.  Every value
+that decides the output is the per-step code's, because numpy's ``power``
+and ``log`` differ from libm's in the last bit for some inputs: powers
+U ** (1/beta) go through libm element by element (numpy's ``power`` only
+preselects coalescence candidates, with a 1e-9 margin), and so does the
+geometric start wherever numpy's log could round it differently.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -62,7 +49,6 @@ __all__ = [
     "run_ciaftp",
     "forward_reconstruct",
     "sample_many",
-    "sample_threaded",
 ]
 
 
@@ -75,19 +61,27 @@ _LOCKSTEP_DEPTH = 64
 #: scalar path, because a numpy round has a fixed cost of a few hundred
 #: microseconds; smaller batches run on the scalar path from the start.
 _MIN_ACTIVE = 512
+#: Backward steps the scalar path takes one at a time before it chunks.
+_SCALAR_STEPS = 64
+#: Most steps in one chunk, backward or forward.
+_CHUNK_MAX = 4096
 
 
 class StepBudgetError(RuntimeError):
-    """Backward phase exceeded the per-sample step budget."""
+    """Backward phase exceeded the per-sample step budget; ``seed`` (as a
+    64-bit Philox key) and ``index`` name ``stream``'s substream if it has one."""
 
-    def __init__(self, beta: float, x0: int, budget: int):
+    def __init__(self, beta: float, x0: int, budget: int, stream=None):
         self.beta = beta
         self.x0 = x0
         self.expected_floor = x0**beta
         self.budget = budget
+        self.seed = seed = getattr(stream, "seed", None)
+        self.index = index = getattr(stream, "index", None)
+        where = "" if index is None else f" (seed {seed}, index {index})"
         super().__init__(
-            f"no coalescence within {budget} backward steps for beta={beta:g}; "
-            f"expected steps grow like x0^beta = {x0}^{beta:g} ~ "
+            f"no coalescence within {budget} backward steps for beta={beta:g}"
+            f"{where}; expected steps grow like x0^beta = {x0}^{beta:g} ~ "
             f"{self.expected_floor:.3g}"
         )
 
@@ -205,26 +199,23 @@ def _complete(
     ``path``; this is how :func:`run_ciaftp` continues from its start and
     how :func:`sample_many` resumes a sample the batch did not finish.
     """
-    budget = params.step_budget
-    while path.coalesce_index is None:
-        if len(path.imputed_u) >= budget:
-            raise StepBudgetError(params.beta, params.x0, budget)
+    while path.coalesce_index is None and len(path.imputed_u) < _SCALAR_STEPS:
+        if len(path.imputed_u) >= params.step_budget:
+            raise StepBudgetError(params.beta, params.x0, params.step_budget, stream)
         backward_extend(params, path, stream)
     t_coal = path.coalesce_index
+    if t_coal is None:
+        t_coal, u = _backward_chunked(params, path, stream, collect_path)
+        # a slice at a time, so no list of a whole long path is ever built
+        drivers = chain.from_iterable(reversed(u[max(h - _CHUNK_MAX, 0) : h].tolist())
+                                      for h in range(t_coal - 1, 0, -_CHUNK_MAX))
+    else:
+        drivers = reversed(path.imputed_u[: t_coal - 1])
 
     w2s = stream if w2_stream is None else w2_stream
-    inv_beta = params.inv_beta
-    imputed = path.imputed_u
-    x = w2s.next_uniform() ** inv_beta  # X(-T+1) = W(-T)(2), any start collapses here
+    x = w2s.next_uniform() ** params.inv_beta  # X(-T+1) = W(-T)(2), any start collapses here
     x_path = [x] if collect_path else None
-    for s in range(t_coal - 1, 0, -1):
-        w1 = imputed[s - 1] ** inv_beta
-        if coupler_collapses(x, w1):
-            x = w2s.next_uniform() ** inv_beta
-        else:
-            x = w1 * (1.0 + x)
-        if collect_path:
-            x_path.append(x)
+    x = _forward_walk(params, drivers, x, w2s, x_path)
     return SampleResult(
         value=x,
         steps=t_coal,
@@ -232,6 +223,81 @@ def _complete(
         path=path if collect_path else None,
         x_path=x_path,
     )
+
+
+def _backward_chunked(params, path, stream, collect_path):
+    """Grow ``path`` in chunks as long as the walk so far (at most
+    :data:`_CHUNK_MAX` steps) until it coalesces; return T and all imputed
+    U as an array.  ``path`` itself is extended only for ``collect_path``."""
+    imputed = [np.array(path.imputed_u)]
+    states = [np.array(path.d_states[1:])]
+    t, d, t_coal = len(path.imputed_u), path.d_states[-1], None
+    while t_coal is None:
+        k = min(t, _CHUNK_MAX, params.step_budget - t)
+        if k <= 0:
+            raise StepBudgetError(params.beta, params.x0, params.step_budget, stream)
+        d_k, u_k, j = _backward_chunk(params, d, stream, k)
+        if j is not None:
+            d_k, u_k, t_coal = d_k[: j + 1], u_k[: j + 1], t + j + 1
+        imputed.append(u_k)
+        states.append(d_k)
+        t, d = t + u_k.size, int(d_k[-1])
+    imputed = np.concatenate(imputed)
+    if collect_path:
+        path.d_states[1:] = np.concatenate(states).tolist()
+        path.imputed_u[:] = imputed.tolist()
+        path.coalesce_index = t_coal
+    return t_coal, imputed
+
+
+def _backward_chunk(params, d, stream, k):
+    """Up to ``k`` backward steps from D = ``d``: arrays of D and imputed U
+    per step, and the index j of the first step that coalesces (None if
+    none does), with ``stream`` left just after that step's uniforms.
+
+    The walk reflects at its floor (a Lindley recursion), so D(-i) = floor
+    + S_i + max(d - floor, -min_{h<=i} S_h) for the partial sums S of the
+    +-1 moves.  A chunk holding a zero imputation uniform, which
+    :func:`backward_extend` redraws, runs step by step."""
+    start = stream.position
+    u = stream.uniforms(2 * k)
+    u_raw = u[1::2]
+    if not u_raw.all():
+        part = BackwardPath(d_states=[d])
+        stream.seek(start)
+        while part.coalesce_index is None and len(part.imputed_u) < k:
+            backward_extend(params, part, stream)
+        j = None if part.coalesce_index is None else part.coalesce_index - 1
+        return np.array(part.d_states[1:]), np.array(part.imputed_u), j
+    floor = params.x0 - 1
+    s = np.cumsum(np.where(u[0::2] > TWO_THIRDS, 1, -1))
+    d_k = floor + s + np.maximum(d - floor, -np.minimum.accumulate(s))
+    up = np.concatenate(([d], d_k[:-1])) == d_k + 1  # forward move D(-i) -> D(-i+1)
+    u_k = np.where(up, TWO_THIRDS + u_raw / 3.0, TWO_THIRDS * u_raw)
+    # numpy's power is within a few ulps of libm's, far inside the 1e-9
+    # margin, so every coalescing step is a candidate; libm decides.
+    w1 = np.power(u_k, params.inv_beta)
+    for j in np.flatnonzero(w1 <= (1.0 / (1.0 + d_k)) * (1.0 + 1e-9)).tolist():
+        if coupler_collapses(int(d_k[j]), float(u_k[j]) ** params.inv_beta):
+            stream.seek(start + 2 * (j + 1))
+            return d_k, u_k, j
+    return d_k, u_k, None
+
+
+def _forward_walk(params, drivers, x, w2s, x_path=None):
+    """Run the coupler from ``x`` on first drivers u ** (1/beta) for u in
+    ``drivers`` (Python floats: libm's power) and second drivers from
+    ``w2s``; return the last state, appending each state to ``x_path``."""
+    inv_beta = params.inv_beta
+    for u in drivers:
+        w1 = u**inv_beta
+        if coupler_collapses(x, w1):
+            x = w2s.next_uniform() ** inv_beta
+        else:
+            x = w1 * (1.0 + x)
+        if x_path is not None:
+            x_path.append(x)
+    return x
 
 
 def forward_reconstruct(
@@ -253,16 +319,7 @@ def forward_reconstruct(
         raise ValueError(
             f"start must lie in [0, D(-T)] = [0, {d_top}], got {start}"
         )
-    inv_beta = params.inv_beta
-    imputed = path.imputed_u
-    x = float(start)
-    for s in range(t_coal, 0, -1):
-        w1 = imputed[s - 1] ** inv_beta
-        if coupler_collapses(x, w1):
-            x = stream.next_uniform() ** inv_beta
-        else:
-            x = w1 * (1.0 + x)
-    return x
+    return _forward_walk(params, reversed(path.imputed_u[:t_coal]), float(start), stream)
 
 
 def sample_many(
@@ -291,23 +348,6 @@ def sample_many(
             params, stream, first_index + lo, values[lo:hi], steps[lo:hi], d0s[lo:hi]
         )
     return values, steps, d0s
-
-
-def sample_threaded(
-    params: VervaatParams, n: int, seed: int, threads: int = 1
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`sample_many` with the index range split over ``threads``
-    worker threads.  Rows depend only on (seed, index), so the result is
-    the same for every thread count."""
-    if threads <= 1 or n <= 1:
-        return sample_many(params, n, seed)
-    chunk = -(-n // threads)
-    spans = [(lo, min(chunk, n - lo)) for lo in range(0, n, chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(
-            pool.map(lambda span: sample_many(params, span[1], seed, span[0]), spans)
-        )
-    return tuple(np.concatenate([p[k] for p in parts]) for k in range(3))
 
 
 def _pow(u: np.ndarray, inv_beta: float) -> np.ndarray:

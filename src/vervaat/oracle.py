@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import sample_threaded
+from .engine import sample_many
 from .updates import VervaatParams
 
 __all__ = [
@@ -234,14 +234,17 @@ def validate_run(
     mean against beta at most 4, |z| of the sample variance against
     beta (1 + 2 beta)/2 - beta^2 at most 5 (variance standard error taken
     from the empirical fourth moment), and for beta = 1 the step-count
-    tails and the Dickman unit-interval mass.  ``threads`` only spreads
-    the engine phase over workers; it never changes the report.
+    tails and the Dickman unit-interval mass.  ``threads`` is deprecated
+    and ignored (a thread fan-out did not pay); values below 1 are still
+    rejected.
     """
     if n < 10**4:
         raise ValueError(f"n must be at least 10^4, got {n}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     from .streams import UniformStream
 
-    values, steps, _ = sample_threaded(params, n, seed, threads)
+    values, steps, _ = sample_many(params, n, seed)
     if depth is None:
         depth = oracle_depth(params.beta)
     oracle_values = truncated_sum_batch(

@@ -21,6 +21,7 @@ inequality that makes the domination argument go through.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -64,13 +65,16 @@ class DrivingPair(NamedTuple):
 def make_params(beta: float, step_budget: int = DEFAULT_STEP_BUDGET) -> VervaatParams:
     """Build :class:`VervaatParams` for the given exponent.
 
-    Raises ValueError for non-positive or non-finite beta.  Emits a
+    ``beta`` may be any real number type (``int``, ``float``, numpy
+    floats, ``Fraction``), but not ``bool``.  Raises ValueError for a
+    non-real, non-positive or non-finite beta.  Emits a
     :class:`StepBudgetWarning` when the expected number of backward steps,
     which grows like x0^beta, already exceeds ``step_budget``: sampling at
     large beta is exponentially expensive and should fail loudly rather
     than hang.  The practical range is roughly beta in [1e-3, 1e3].
     """
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta)) or beta <= 0:
+    real = isinstance(beta, numbers.Real) and not isinstance(beta, bool)
+    if not (real and math.isfinite(beta)) or beta <= 0:
         raise ValueError(f"beta must be a positive finite real, got {beta!r}")
     beta = float(beta)
     log_ratio = math.log(TWO_THIRDS) / beta

@@ -3,10 +3,11 @@ import warnings
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from vervaat.cli import main
+from vervaat.cli import _csv_rows, main
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +76,29 @@ class TestSample:
     def test_bad_arguments_exit_2(self, args):
         r = CliRunner().invoke(main, list(args))
         assert r.exit_code == 2
+
+    def test_csv_rows_match_the_f_string_form(self):
+        tiny = np.nextafter(0.0, 1.0)
+        values = np.array(
+            [0.0, tiny, 2 * tiny, 2.2250738585072014e-308 - tiny, 1.0 - 2.0**-53,
+             1.0, 0.1, 1e-5, 123456.789, 1e22, 2.0**70]
+            + np.random.default_rng(3).random(500).tolist()
+        )
+        steps = np.arange(1, values.size + 1, dtype=np.int64) * 7919
+        d0s = np.arange(values.size, dtype=np.int64) % 13 + 4
+        want = "".join(
+            f"{i},{v:.17g},{s},{d}\n"
+            for i, v, s, d in zip(
+                range(40, 40 + values.size), values.tolist(), steps.tolist(), d0s.tolist()
+            )
+        )
+        assert _csv_rows(40, values, steps, d0s) == want
+
+    @pytest.mark.filterwarnings("ignore::vervaat.StepBudgetWarning")
+    def test_budget_abort_names_the_row(self):
+        r = CliRunner().invoke(main, ["sample", "--beta", "6", "--n", "2", "--seed", "5"])
+        assert r.exit_code == 3
+        assert "(seed 5, index 0)" in r.stderr
 
     @pytest.mark.filterwarnings("ignore::vervaat.StepBudgetWarning")
     def test_budget_abort_exits_3(self):
@@ -174,6 +198,17 @@ class TestTrace:
         minus_one = run("trace", "--beta", "1", "--seed", "-1")
         minus_five = run("trace", "--beta", "1", "--seed", "-5")
         assert minus_one.output.split("\n")[-2] != minus_five.output.split("\n")[-2]
+
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_index_matches_sample_row(self, index):
+        tr = run("trace", "--beta", "3", "--seed", "11", "--index", str(index))
+        rows = run("sample", "--beta", "3", "--n", "4", "--seed", "11").output
+        y_value = rows.strip().split("\n")[1 + index].split(",")[1]
+        assert tr.output.strip().split("\n")[-1] == f"X0 = {y_value}"
+
+    def test_negative_index_exits_2(self):
+        r = CliRunner().invoke(main, ["trace", "--beta", "1", "--index", "-1"])
+        assert r.exit_code == 2
 
     def test_n_must_be_one(self):
         r = CliRunner().invoke(main, ["trace", "--beta", "1", "--n", "2"])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from vervaat import (
 )
 
 import vervaat.engine as engine_mod
+from vervaat.updates import TWO_THIRDS
 from conftest import ScriptedStream, audit_path
 
 
@@ -304,3 +306,178 @@ class TestBatchedEngine:
         assert_same_rows(head, per_row(params, first_abort, 48))
         with pytest.raises(StepBudgetError):
             sample_many(params, 400, 48)
+
+
+def stepwise(params, stream):
+    """The per-step reference: backward_extend at every step, then the
+    forward loop written out.  Returns (path, forward trajectory)."""
+    path = BackwardPath(d_states=[draw_initial_dominating(params, stream)])
+    while path.coalesce_index is None:
+        backward_extend(params, path, stream)
+    inv_beta = params.inv_beta
+    x = stream.next_uniform() ** inv_beta
+    x_path = [x]
+    for s in range(path.coalesce_index - 1, 0, -1):
+        w1 = path.imputed_u[s - 1] ** inv_beta
+        if w1 <= 1.0 / (1.0 + x):
+            x = stream.next_uniform() ** inv_beta
+        else:
+            x = w1 * (1.0 + x)
+        x_path.append(x)
+    return path, x_path
+
+
+class ZeroAt(UniformStream):
+    """A substream whose uniforms at the given positions read 0."""
+
+    def __init__(self, seed, index, zeros):
+        super().__init__(seed, index)
+        self.zeros = frozenset(zeros)
+
+    def next_uniform(self):
+        pos = self.position
+        u = super().next_uniform()
+        return 0.0 if pos in self.zeros else u
+
+    def uniforms(self, n):
+        pos = self.position
+        u = super().uniforms(n)
+        for p in self.zeros:
+            if pos <= p < pos + n:
+                u[p - pos] = 0.0
+        return u
+
+
+class ArrayStream:
+    """Replays a fixed array of uniforms, with the stream interface the
+    chunked walk uses (position, uniforms, seek)."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.position = 0
+
+    def next_uniform(self):
+        self.position += 1
+        return float(self.values[self.position - 1])
+
+    def uniforms(self, n):
+        self.position += n
+        return self.values[self.position - n : self.position].copy()
+
+    def seek(self, position):
+        self.position = position
+        return self
+
+
+def assert_same_run(params, got, want_path, want_x):
+    assert got.path.d_states == want_path.d_states
+    assert got.path.imputed_u == want_path.imputed_u
+    assert got.path.coalesce_index == want_path.coalesce_index == got.steps
+    assert got.x_path == want_x
+    assert got.value == want_x[-1]
+    audit_path(params, got.path)
+
+
+class TestChunkedBackward:
+    """Past the first _SCALAR_STEPS steps, _complete walks in chunks; every
+    run must be bit for bit the per-step replay."""
+
+    @pytest.mark.parametrize("beta, seed", [(2.0, 61), (3.0, 62)])
+    def test_long_runs_match_the_per_step_replay(self, beta, seed):
+        params = make_params(beta)
+        long_runs = 0
+        for idx in range(24):
+            got = run_ciaftp(params, UniformStream(seed, idx), collect_path=True)
+            assert_same_run(params, got, *stepwise(params, UniformStream(seed, idx)))
+            long_runs += got.steps > engine_mod._SCALAR_STEPS
+        assert long_runs >= 8
+
+    @pytest.mark.parametrize(
+        "zeros",
+        [
+            {2 * 100},  # imputation of step 100, inside the first chunk
+            {2 * 100 - 1},  # its direction: a valid down-move, no redraw
+            {2 * 65, 2 * 300},  # first step of a chunk, and a later chunk
+        ],
+    )
+    def test_zero_inside_a_chunk(self, zeros):
+        params = make_params(3.0)
+        idx = next(
+            i for i in range(50) if run_ciaftp(params, UniformStream(63, i)).steps > 400
+        )
+        got = run_ciaftp(params, ZeroAt(63, idx, zeros), collect_path=True)
+        assert_same_run(params, got, *stepwise(params, ZeroAt(63, idx, zeros)))
+        if any(z % 2 == 0 for z in zeros):  # a redrawn imputation shifts the stream
+            assert got.value != run_ciaftp(params, UniformStream(63, idx)).value
+
+    @staticmethod
+    def coalescing_at(params, t_coal):
+        """Uniforms for a beta = 1 run that coalesces at step t_coal.
+
+        Random directions; imputation uniforms >= 1/2 cannot coalesce,
+        except step t_coal's tiny one.  Step 70 just misses: its U exceeds
+        1/(1 + D) by about an ulp, which passes the candidate filter and
+        must be rejected by the exact test.
+        """
+        rng = np.random.default_rng(t_coal)
+        u = rng.random(4 * t_coal + 200)  # a chunk may read past T
+        u[2::2] = 0.5 + u[2::2] / 2
+        u[0] = 0.5  # D(0) = floor
+        u[2 * t_coal - 1 : 2 * t_coal + 1] = 0.9, 1e-6  # backward up: U = 2/3 * 1e-6
+        u[1 : 2 * 70 : 2] = 0.5  # hold at the floor up to step 70
+        thr = 1.0 / (1.0 + (params.x0 - 1))
+        u[2 * 70] = math.nextafter(thr / TWO_THIRDS, 1.0)
+        assert thr < TWO_THIRDS * u[2 * 70] <= thr * (1 + 1e-9)
+        return u
+
+    @pytest.mark.parametrize("t_coal", [64, 65, 100, 128, 129, 256, 257, 4000])
+    def test_coalescence_at_chunk_edges(self, dickman, t_coal):
+        u = self.coalescing_at(dickman, t_coal)
+        got = run_ciaftp(dickman, ArrayStream(u), collect_path=True)
+        assert got.steps == t_coal
+        assert_same_run(dickman, got, *stepwise(dickman, ArrayStream(u)))
+
+    @pytest.mark.parametrize("budget", [64, 65, 200])
+    def test_step_budget_edge(self, budget):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StepBudgetWarning)
+            params = make_params(1.0, step_budget=budget)
+        u = self.coalescing_at(params, budget)
+        assert run_ciaftp(params, ArrayStream(u)).steps == budget
+        stream = ArrayStream(self.coalescing_at(params, budget + 1))
+        with pytest.raises(StepBudgetError):
+            run_ciaftp(params, stream)
+        assert stream.position <= 2 * budget + 1  # read nothing past the budget
+
+    @pytest.mark.parametrize("budget", [64, 65, 200])
+    def test_step_budget_aborts_the_same_rows(self, budget):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StepBudgetWarning)
+            params = make_params(2.0, step_budget=budget)
+        ref = [stepwise(params, UniformStream(64, i))[0].coalesce_index for i in range(40)]
+        assert min(ref) <= budget < max(ref)
+        for i, t_ref in enumerate(ref):
+            if t_ref > budget:
+                with pytest.raises(StepBudgetError) as err:
+                    run_ciaftp(params, UniformStream(64, i))
+                assert (err.value.seed, err.value.index) == (64, i)
+            else:
+                assert run_ciaftp(params, UniformStream(64, i)).steps == t_ref
+        first = next(i for i, t in enumerate(ref) if t > budget)
+        with pytest.raises(StepBudgetError) as err:
+            sample_many(params, 40, 64)
+        assert err.value.index == first
+        assert f"(seed 64, index {first})" in str(err.value)
+
+    @pytest.mark.parametrize("min_active", [512, 16])
+    def test_sample_many_past_the_prefix(self, monkeypatch, min_active):
+        # all rows on the scalar path, or most resumed from the lockstep
+        monkeypatch.setattr(engine_mod, "_MIN_ACTIVE", min_active)
+        params = make_params(3.0)
+        values, steps, d0s = sample_many(params, 40, 65, first_index=3)
+        assert (steps > engine_mod._SCALAR_STEPS).sum() >= 30
+        for i in range(40):
+            path, x_path = stepwise(params, UniformStream(65, 3 + i))
+            assert (values[i], steps[i], d0s[i]) == (
+                x_path[-1], path.coalesce_index, path.d_states[0]
+            )

@@ -162,6 +162,10 @@ class TestValidateRun:
         fanned = validate_run(p, 10_000, seed=90210, threads=3)
         assert single.to_dict() == fanned.to_dict()
 
+    def test_threads_below_one_rejected(self):
+        with pytest.raises(ValueError, match="threads"):
+            validate_run(make_params(1.0), 10_000, seed=90210, threads=0)
+
     def test_detects_tampered_engine(self, monkeypatch):
         # negate the collapse predicate inside the engine: coalescence is
         # then declared on the wrong branch and the output law is wrong

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,6 +59,18 @@ class TestMakeParams:
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_invalid_beta(self, bad):
+        with pytest.raises(ValueError):
+            make_params(bad)
+
+    @pytest.mark.parametrize(
+        "beta, want", [(np.float32(1.0), 1.0), (np.int64(2), 2.0), (Fraction(1, 2), 0.5)]
+    )
+    def test_real_number_types(self, beta, want):
+        p = make_params(beta)
+        assert type(p.beta) is float and p.beta == want
+
+    @pytest.mark.parametrize("bad", [True, False, np.bool_(True), "1", None, 1 + 0j])
+    def test_non_real_beta(self, bad):
         with pytest.raises(ValueError):
             make_params(bad)
 
