@@ -34,9 +34,7 @@ from .oracle import (
     ks_critical_value,
     ks_two_sample,
     oracle_depth,
-    stationarity_check,
     truncated_sum_batch,
-    truncated_sum_sample,
     truncation_bias,
     validate_run,
 )
@@ -51,18 +49,13 @@ from .runtime import (
     supermartingale_cap,
     theorem_bounds,
 )
-from .streams import StreamFactory, UniformStream, geometric_half, spawn_substream
+from .streams import UniformStream, geometric_half
 from .updates import (
     BETA0,
-    DrivingPair,
     StepBudgetWarning,
     VervaatParams,
     coupler_collapses,
-    dominating_update,
     make_params,
-    multigamma_update,
-    natural_update,
-    sample_w,
 )
 
 __version__ = "0.1.0"
@@ -73,13 +66,11 @@ __all__ = [
     "AbsorptionBracket",
     "BackwardPath",
     "Check",
-    "DrivingPair",
     "ExpansionReport",
     "RuntimeBounds",
     "SampleResult",
     "StepBudgetError",
     "StepBudgetWarning",
-    "StreamFactory",
     "TestReport",
     "UniformStream",
     "VervaatParams",
@@ -87,7 +78,6 @@ __all__ = [
     "absorption_probabilities",
     "backward_extend",
     "coupler_collapses",
-    "dominating_update",
     "draw_initial_dominating",
     "exact_moments",
     "expansion_check",
@@ -96,19 +86,13 @@ __all__ = [
     "ks_critical_value",
     "ks_two_sample",
     "make_params",
-    "multigamma_update",
-    "natural_update",
     "oracle_depth",
     "run_ciaftp",
     "sample_many",
-    "sample_w",
     "small_beta_constant",
-    "spawn_substream",
-    "stationarity_check",
     "supermartingale_cap",
     "theorem_bounds",
     "truncated_sum_batch",
-    "truncated_sum_sample",
     "truncation_bias",
     "validate_run",
 ]

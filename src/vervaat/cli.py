@@ -2,9 +2,8 @@
 
 Outputs are machine-readable and reproducible: sample row i is always
 drawn on substream i of the given seed, so the same invocation produces
-byte-identical output (``--threads`` is accepted but ignored).  Exit codes:
-0 success (all validation checks passed), 1 validation failure,
-2 bad arguments, 3 step-budget abort.
+byte-identical output.  Exit codes: 0 success (all validation checks
+passed), 1 validation failure, 2 bad arguments, 3 step-budget abort.
 """
 
 from __future__ import annotations
@@ -23,6 +22,9 @@ from .updates import make_params
 _BUDGET_EXIT = 3
 #: CSV rows formatted per write, so no full list of lines is ever built.
 _CSV_ROWS = 8192
+#: Largest ``analyze --truncation``: the solve holds a few arrays of this
+#: length, and the bracket reaches the solver tolerance by about 50.
+_MAX_TRUNCATION = 10_000
 
 
 def _fmt(x: float) -> str:
@@ -56,16 +58,6 @@ def _emit(out, text):
     finally:
         if close:
             fh.close()
-
-
-def _threads_option(f):
-    return click.option(
-        "--threads",
-        type=int,
-        default=1,
-        show_default=True,
-        help="Deprecated and ignored; must be >= 1.",
-    )(f)
 
 
 def _beta_option(f):
@@ -109,7 +101,6 @@ def _params_or_usage(beta, **kwargs):
 @_beta_option
 @click.option("--n", type=int, default=10, show_default=True, help="Number of samples.")
 @_seed_option
-@_threads_option
 @click.option(
     "--format",
     "fmt",
@@ -118,12 +109,10 @@ def _params_or_usage(beta, **kwargs):
     show_default=True,
 )
 @_out_option
-def sample(beta, n, seed, threads, fmt, out):
+def sample(beta, n, seed, fmt, out):
     """Draw perfect samples; one row per draw (index, y_value, steps, d0)."""
     if n < 1:
         raise click.UsageError(f"--n must be >= 1, got {n}")
-    if threads < 1:
-        raise click.UsageError(f"--threads must be >= 1, got {threads}")
     params = _params_or_usage(beta)
     try:
         values, steps, d0s = sample_many(params, n, seed)
@@ -154,7 +143,7 @@ def sample(beta, n, seed, threads, fmt, out):
 @_beta_option
 @click.option(
     "--truncation",
-    type=int,
+    type=click.IntRange(2, _MAX_TRUNCATION),
     default=400,
     show_default=True,
     help="States retained above the floor in the absorbing-chain solve.",
@@ -162,11 +151,12 @@ def sample(beta, n, seed, threads, fmt, out):
 @_out_option
 def analyze(beta, truncation, out):
     """Report runtime bounds and the exact expected-step bracket."""
-    if truncation < 2:
-        raise click.UsageError(f"--truncation must be >= 2, got {truncation}")
     params = _params_or_usage(beta)
-    bounds = theorem_bounds(params)
-    bracket = absorption_bracket(params, truncation)
+    try:
+        bounds = theorem_bounds(params)
+        bracket = absorption_bracket(params, truncation)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     payload = {
         "beta": params.beta,
         "x0": params.x0,
@@ -188,21 +178,18 @@ def analyze(beta, truncation, out):
 @_seed_option
 @click.option(
     "--depth",
-    type=int,
+    type=click.IntRange(min=0),
     default=None,
     help="Oracle series depth (default: tail bias below 1e-9).",
 )
-@_threads_option
 @_out_option
-def validate(beta, n, seed, depth, threads, out):
+def validate(beta, n, seed, depth, out):
     """Compare the sampler against the series oracle; exit 1 on failure."""
     if n < 10**4:
         raise click.UsageError(f"--n must be at least 10^4, got {n}")
-    if threads < 1:
-        raise click.UsageError(f"--threads must be >= 1, got {threads}")
     params = _params_or_usage(beta)
     try:
-        report = validate_run(params, n, seed, depth=depth, threads=threads)
+        report = validate_run(params, n, seed, depth=depth)
     except StepBudgetError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(_BUDGET_EXIT)
@@ -214,21 +201,16 @@ def validate(beta, n, seed, depth, threads, out):
 @main.command()
 @_beta_option
 @_seed_option
-@click.option("--n", type=int, default=1, help="Must be 1: trace is a single run.")
 @click.option(
     "--index",
-    type=int,
+    type=click.IntRange(0, 2**64 - 1),
     default=0,
     show_default=True,
     help="Row of `sample` (same seed) to replay.",
 )
 @_out_option
-def trace(beta, seed, n, index, out):
+def trace(beta, seed, index, out):
     """Render one run: backward walk, imputed uniforms, forward trajectory."""
-    if n != 1:
-        raise click.UsageError(f"trace runs a single sample; --n must be 1, got {n}")
-    if index < 0:
-        raise click.UsageError(f"--index must be >= 0, got {index}")
     params = _params_or_usage(beta)
     stream = UniformStream(seed, index)  # matches sample row `index` exactly
     try:

@@ -38,7 +38,7 @@ from itertools import chain
 import numpy as np
 
 from .streams import UniformStream, _geometric_array, geometric_half, philox_block
-from .updates import TWO_THIRDS, VervaatParams, coupler_collapses
+from .updates import TWO_THIRDS, VervaatParams, _power, coupler_collapses
 
 __all__ = [
     "BackwardPath",
@@ -74,7 +74,7 @@ class StepBudgetError(RuntimeError):
     def __init__(self, beta: float, x0: int, budget: int, stream=None):
         self.beta = beta
         self.x0 = x0
-        self.expected_floor = x0**beta
+        self.expected_floor = _power(x0, beta)
         self.budget = budget
         self.seed = seed = getattr(stream, "seed", None)
         self.index = index = getattr(stream, "index", None)

@@ -26,14 +26,12 @@ from .updates import VervaatParams
 
 __all__ = [
     "EULER_GAMMA",
-    "truncated_sum_sample",
     "truncated_sum_batch",
     "oracle_depth",
     "truncation_bias",
     "exact_moments",
     "ks_two_sample",
     "ks_critical_value",
-    "stationarity_check",
     "Check",
     "TestReport",
     "validate_run",
@@ -51,23 +49,6 @@ _ORACLE_STREAM_INDEX = 1 << 62
 #: the uniforms are consumed in the same order.  Larger blocks only raise
 #: the peak memory (n * depth doubles per block, several times over).
 _BATCH_ROWS = 16384
-
-
-def truncated_sum_sample(params: VervaatParams, depth: int, stream) -> float:
-    """One draw of the series truncated after ``depth`` products.
-
-    The mean of the discarded tail is (E W)^(depth+1) / (1 - E W); see
-    :func:`oracle_depth` for choosing the depth.
-    """
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    inv_beta = params.inv_beta
-    total = 0.0
-    prod = 1.0
-    for _ in range(depth):
-        prod *= stream.next_uniform() ** inv_beta
-        total += prod
-    return total
 
 
 def truncated_sum_batch(
@@ -134,31 +115,6 @@ def ks_critical_value(m: int, n: int, alpha: float = 0.01) -> float:
     return c * math.sqrt((m + n) / (m * n))
 
 
-def stationarity_check(params: VervaatParams, support_size: int) -> float:
-    """Residual max |pi P - pi| of the shifted geometric under the walk.
-
-    pi(x0 - 1 + k) = 2^-(k+1) should be invariant for the kernel that moves
-    down with probability 2/3 (holding at the floor) and up with 1/3.  On a
-    truncated support the result is exact up to rounding at interior states;
-    the top state carries a truncation leak of order 2^-support_size, so
-    small supports report a visibly nonzero residual.  The kernel does not
-    depend on beta, so the residual is parameter-free apart from the floor
-    shift.
-    """
-    if support_size < 2:
-        raise ValueError(f"support_size must be >= 2, got {support_size}")
-    k = support_size
-    pi = 0.5 ** (np.arange(k) + 1.0)
-    p = np.zeros((k, k))
-    p[0, 0] = 2.0 / 3.0
-    p[0, 1] = 1.0 / 3.0
-    for j in range(1, k):
-        p[j, j - 1] = 2.0 / 3.0
-        if j + 1 < k:
-            p[j, j + 1] = 1.0 / 3.0
-    return float(np.abs(pi @ p - pi).max())
-
-
 @dataclass(frozen=True, slots=True)
 class Check:
     """One named validation check; passes iff statistic <= threshold."""
@@ -208,6 +164,13 @@ def _check(name, statistic, threshold, sizes) -> Check:
     return Check(name, statistic, threshold, tuple(sizes), statistic <= threshold)
 
 
+def _z(diff: float, se: float) -> float:
+    """|diff| / se, with 0 / 0 = 0 and x / 0 = inf."""
+    if se == 0.0:
+        return 0.0 if diff == 0.0 else math.inf
+    return abs(diff) / se
+
+
 # beta = 1 step-count tail targets with the tolerances used at n = 10^6;
 # at smaller n the thresholds widen to 5 standard errors so the harness
 # stays usable at its n >= 10^4 minimum.
@@ -224,7 +187,6 @@ def validate_run(
     n: int,
     seed: int,
     depth: int | None = None,
-    threads: int = 1,
 ) -> TestReport:
     """Run engine and oracle side by side and report the comparison.
 
@@ -234,14 +196,12 @@ def validate_run(
     mean against beta at most 4, |z| of the sample variance against
     beta (1 + 2 beta)/2 - beta^2 at most 5 (variance standard error taken
     from the empirical fourth moment), and for beta = 1 the step-count
-    tails and the Dickman unit-interval mass.  ``threads`` is deprecated
-    and ignored (a thread fan-out did not pay); values below 1 are still
-    rejected.
+    tails and the Dickman unit-interval mass.  A z-score with a zero
+    standard error (every sample equal) is 0 when the difference is 0 and
+    inf otherwise.
     """
     if n < 10**4:
         raise ValueError(f"n must be at least 10^4, got {n}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     from .streams import UniformStream
 
     values, steps, _ = sample_many(params, n, seed)
@@ -260,16 +220,12 @@ def validate_run(
     mean, second = exact_moments(params.beta)
     variance = second - mean**2
     se_mean = values.std() / math.sqrt(n)
-    checks.append(
-        _check("mean_z", abs(values.mean() - mean) / se_mean, 4.0, (n,))
-    )
+    checks.append(_check("mean_z", _z(values.mean() - mean, se_mean), 4.0, (n,)))
     centered = values - values.mean()
     sample_var = float(np.mean(centered**2))
     m4 = float(np.mean(centered**4))
     se_var = math.sqrt(max(m4 - sample_var**2, 0.0) / n)
-    checks.append(
-        _check("variance_z", abs(sample_var - variance) / se_var, 5.0, (n,))
-    )
+    checks.append(_check("variance_z", _z(sample_var - variance, se_var), 5.0, (n,)))
 
     if params.beta == 1.0:
         for name, pred, target, tol in _DICKMAN_TAILS:

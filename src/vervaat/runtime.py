@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .engine import sample_many
-from .updates import BETA0, VervaatParams, make_params
+from .updates import BETA0, VervaatParams, _power, make_params
 
 __all__ = [
     "RuntimeBounds",
@@ -46,6 +46,10 @@ __all__ = [
 #: stationary averaging; the returned bracket is widened by this amount on
 #: each side so it still rigorously contains the exact expectation.
 _SOLVER_TOL = 1e-12
+
+#: Largest (x0 + 1)^beta the bounds accept (beta up to about 110).  The
+#: bracket's solve scales it by small factors, so it stays inside float64.
+_MAX_TOP_POWER = 1e300
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,12 +85,25 @@ class ExpansionReport:
     c: float
 
 
+def _top_power(params: VervaatParams) -> float:
+    """(x0 + 1)^beta; ValueError above :data:`_MAX_TOP_POWER`."""
+    top = _power(params.x0 + 1, params.beta)
+    if top > _MAX_TOP_POWER:
+        raise ValueError(
+            f"beta={params.beta:g} is too large for the runtime bounds: "
+            f"(x0 + 1)^beta = {params.x0 + 1}^{params.beta:g} ~ {top:.3g} "
+            f"exceeds {_MAX_TOP_POWER:g}"
+        )
+    return top
+
+
 def theorem_bounds(params: VervaatParams) -> RuntimeBounds:
-    """The closed-form pair (x0^beta, 2 (x0 + 1)^beta + 3)."""
-    return RuntimeBounds(
-        lower=params.x0**params.beta,
-        upper=2.0 * (params.x0 + 1) ** params.beta + 3.0,
-    )
+    """The closed-form pair (x0^beta, 2 (x0 + 1)^beta + 3).
+
+    Raises ValueError when (x0 + 1)^beta exceeds 1e300.
+    """
+    top = _top_power(params)  # checked first: x0^beta cannot overflow before it
+    return RuntimeBounds(lower=params.x0**params.beta, upper=2.0 * top + 3.0)
 
 
 def supermartingale_cap(params: VervaatParams, d: int) -> float:
@@ -95,12 +112,13 @@ def supermartingale_cap(params: VervaatParams, d: int) -> float:
     Equals 3 * (d - (x0 - 1) + (2/3)(x0 + 1)^beta): the potential
     d - (x0 - 1) + (2/3)(x0 + 1)^beta drops by at least 1/3 per step in
     expectation until absorption, where it drops to zero, so optional
-    sampling bounds E T by three times the starting potential.
+    sampling bounds E T by three times the starting potential.  Raises
+    ValueError where :func:`theorem_bounds` does.
     """
     floor = params.x0 - 1
     if d < floor:
         raise ValueError(f"state must be >= x0 - 1 = {floor}, got {d}")
-    return 3.0 * ((d - floor) + (2.0 / 3.0) * (params.x0 + 1) ** params.beta)
+    return 3.0 * ((d - floor) + (2.0 / 3.0) * _top_power(params))
 
 
 def absorption_probabilities(
@@ -165,7 +183,7 @@ def absorption_bracket(params: VervaatParams, truncation: int) -> AbsorptionBrac
     upper = float(weights @ h_up)
     # sum_{j > truncation} 2^-(j+1) * cap(x0 - 1 + j), cap affine in j
     upper += 0.5 ** (truncation + 1) * (
-        3.0 * (truncation + 2) + 2.0 * (params.x0 + 1) ** params.beta
+        3.0 * (truncation + 2) + 2.0 * _top_power(params)
     )
 
     pad = _SOLVER_TOL * max(1.0, upper)

@@ -43,6 +43,13 @@ _SHIFT11 = np.uint64(11)
 _TWO_M53 = 1.0 / 9007199254740992.0
 
 
+def _check_index(index: int) -> int:
+    """``index`` as an int; ValueError unless it is a 64-bit Philox key word."""
+    if not 0 <= index <= _MASK64:
+        raise ValueError(f"substream index must be in [0, 2^64), got {index}")
+    return int(index)
+
+
 class UniformStream:
     """A single consumer-owned stream of uniforms on [0, 1).
 
@@ -53,10 +60,8 @@ class UniformStream:
     __slots__ = ("seed", "index", "position", "_gen", "_buf", "_i", "_block", "_state")
 
     def __init__(self, seed: int, index: int = 0):
-        if index < 0:
-            raise ValueError(f"substream index must be >= 0, got {index}")
         self.seed = int(seed) & _MASK64
-        self.index = int(index)
+        self.index = _check_index(index)
         self.position = 0
         # A uint64 array, not a tuple: numpy would round a tuple holding a
         # seed >= 2^63 through float64.
@@ -104,9 +109,7 @@ class UniformStream:
         another substream index).  Cheaper than constructing a fresh stream;
         the replayed sequence is identical to a freshly built one."""
         if index is not None:
-            if index < 0:
-                raise ValueError(f"substream index must be >= 0, got {index}")
-            self.index = int(index)
+            self.index = _check_index(index)
         return self.seek(0)
 
     def seek(self, position: int) -> "UniformStream":
@@ -139,24 +142,6 @@ class UniformStream:
             f"UniformStream(seed={self.seed}, index={self.index}, "
             f"position={self.position})"
         )
-
-
-class StreamFactory:
-    """Spawns independent substreams of a common root seed."""
-
-    __slots__ = ("root_seed",)
-
-    def __init__(self, root_seed: int):
-        self.root_seed = int(root_seed) & _MASK64
-
-    def substream(self, index: int) -> UniformStream:
-        """Deterministic, independent substream for the given index."""
-        return UniformStream(self.root_seed, index)
-
-
-def spawn_substream(factory: StreamFactory, index: int) -> UniformStream:
-    """Functional alias for :meth:`StreamFactory.substream`."""
-    return factory.substream(index)
 
 
 def geometric_half(stream) -> int:

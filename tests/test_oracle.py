@@ -12,14 +12,12 @@ from vervaat import (
     ks_two_sample,
     make_params,
     oracle_depth,
-    stationarity_check,
     truncated_sum_batch,
-    truncated_sum_sample,
     truncation_bias,
     validate_run,
 )
 
-from conftest import SEED_ORACLE, ScriptedStream
+from conftest import SEED_ORACLE, ScriptedStream, stationarity_check, truncated_sum_sample
 
 
 class TestTruncatedSum:
@@ -155,16 +153,6 @@ class TestValidateRun:
     def test_dickman_with_explicit_depth_60(self):
         report = validate_run(make_params(1.0), 100_000, seed=SEED_ORACLE, depth=60)
         assert report.passed
-
-    def test_threads_do_not_change_the_report(self):
-        p = make_params(1.0)
-        single = validate_run(p, 10_000, seed=90210)
-        fanned = validate_run(p, 10_000, seed=90210, threads=3)
-        assert single.to_dict() == fanned.to_dict()
-
-    def test_threads_below_one_rejected(self):
-        with pytest.raises(ValueError, match="threads"):
-            validate_run(make_params(1.0), 10_000, seed=90210, threads=0)
 
     def test_detects_tampered_engine(self, monkeypatch):
         # negate the collapse predicate inside the engine: coalescence is

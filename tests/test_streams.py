@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vervaat import StreamFactory, UniformStream, geometric_half, spawn_substream
+from vervaat import UniformStream, geometric_half
 from vervaat.streams import philox_block
 
 from conftest import ScriptedStream
@@ -75,20 +75,24 @@ def test_negative_index_rejected():
         UniformStream(1).restart(-2)
 
 
+def test_index_above_64_bits_rejected():
+    last = UniformStream(1, 2**64 - 1)
+    assert np.array_equal(last.uniforms(8), UniformStream(1).restart(2**64 - 1).uniforms(8))
+    with pytest.raises(ValueError):
+        UniformStream(1, 2**64)
+    with pytest.raises(ValueError):
+        UniformStream(1).restart(2**64)
+
+
 def test_substream_determinism_and_distinctness():
-    factory = StreamFactory(7)
-    s0a = factory.substream(0)
-    s0b = spawn_substream(factory, 0)
-    s1 = factory.substream(1)
-    seq0a = s0a.uniforms(200)
-    assert np.array_equal(seq0a, s0b.uniforms(200))
-    assert not np.array_equal(seq0a, s1.uniforms(200))
+    seq0a = UniformStream(7, 0).uniforms(200)
+    assert np.array_equal(seq0a, UniformStream(7, 0).uniforms(200))
+    assert not np.array_equal(seq0a, UniformStream(7, 1).uniforms(200))
 
 
 def test_substreams_uncorrelated():
-    factory = StreamFactory(7)
-    a = factory.substream(0).uniforms(100_000)
-    b = factory.substream(1).uniforms(100_000)
+    a = UniformStream(7, 0).uniforms(100_000)
+    b = UniformStream(7, 1).uniforms(100_000)
     r = np.corrcoef(a, b)[0, 1]
     assert abs(r) < 0.01
 

@@ -4,22 +4,25 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vervaat import (
     BETA0,
-    DrivingPair,
     StepBudgetWarning,
     UniformStream,
-    dominating_update,
     ks_critical_value,
     ks_two_sample,
     make_params,
+)
+
+from conftest import (
+    ScriptedStream,
+    dominating_update,
     multigamma_update,
     natural_update,
     sample_w,
 )
-
-from conftest import ScriptedStream
 
 
 class TestMakeParams:
@@ -74,6 +77,26 @@ class TestMakeParams:
         with pytest.raises(ValueError):
             make_params(bad)
 
+    @pytest.mark.parametrize("beta", [9.4e17, 1e20, 1e300, 1e308])
+    def test_x0_beyond_int64_walk_rejected(self, beta):
+        with pytest.raises(ValueError, match="2\\^62"):
+            make_params(beta)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.floats())
+    @example(5e-324)
+    @example(9.3e17)
+    def test_any_float_beta(self, beta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StepBudgetWarning)
+            try:
+                p = make_params(beta)
+            except ValueError:
+                assert not 0 < beta < 9.3e17
+                return
+        assert 2 <= p.x0 <= 2**62
+        assert (p.x0 - 1) / (p.x0 + 1) >= p.w_threshold
+
     def test_budget_warning(self):
         with pytest.warns(StepBudgetWarning):
             make_params(1000.0)
@@ -115,19 +138,19 @@ class TestMultigammaUpdate:
     def test_bottom_state_always_collapses(self):
         p = make_params(1.0)
         for w1 in (0.0, 0.3, 0.999):
-            assert multigamma_update(p, 0.0, DrivingPair(w1, 0.42)) == 0.42
+            assert multigamma_update(p, 0.0, (w1, 0.42)) == 0.42
 
     def test_branches(self):
         p = make_params(1.0)
-        assert multigamma_update(p, 2.0, DrivingPair(0.5, 0.3)) == 1.5
-        assert multigamma_update(p, 2.0, DrivingPair(0.25, 0.7)) == 0.7
+        assert multigamma_update(p, 2.0, (0.5, 0.3)) == 1.5
+        assert multigamma_update(p, 2.0, (0.25, 0.7)) == 0.7
 
     def test_accepts_plain_tuple(self):
         assert multigamma_update(make_params(1.0), 2.0, (0.25, 0.7)) == 0.7
 
     def test_negative_state(self):
         with pytest.raises(ValueError):
-            multigamma_update(make_params(1.0), -1.0, DrivingPair(0.5, 0.5))
+            multigamma_update(make_params(1.0), -1.0, (0.5, 0.5))
 
     def test_monotone_in_state(self):
         p = make_params(1.0)
