@@ -14,7 +14,7 @@ import sys
 import click
 
 from .engine import StepBudgetError, run_ciaftp, sample_many
-from .oracle import validate_run
+from .oracle import oracle_depth, validate_run
 from .runtime import absorption_bracket, small_beta_constant, theorem_bounds
 from .streams import UniformStream
 from .updates import make_params
@@ -25,6 +25,14 @@ _CSV_ROWS = 8192
 #: Largest ``analyze --truncation``: the solve holds a few arrays of this
 #: length, and the bracket reaches the solver tolerance by about 50.
 _MAX_TRUNCATION = 10_000
+#: Largest ``validate --n``: a run holds about 125 bytes per row, so about
+#: 1.3 GB at this size.
+_MAX_VALIDATE_N = 10**7
+#: Largest ``validate --depth``, explicit or the default ``oracle_depth``: a
+#: series block holds 16384 rows of this many doubles, a few times over.
+#: The default depth passes it only from beta ~ 40, far past beta ~ 4.3,
+#: where the default step budget already aborts.
+_MAX_DEPTH = 1000
 
 
 def _fmt(x: float) -> str:
@@ -174,20 +182,27 @@ def analyze(beta, truncation, out):
 
 @main.command()
 @_beta_option
-@click.option("--n", type=int, default=100_000, show_default=True)
+@click.option(
+    "--n", type=click.IntRange(10**4, _MAX_VALIDATE_N), default=100_000, show_default=True
+)
 @_seed_option
 @click.option(
     "--depth",
-    type=click.IntRange(min=0),
+    type=click.IntRange(0, _MAX_DEPTH),
     default=None,
     help="Oracle series depth (default: tail bias below 1e-9).",
 )
 @_out_option
 def validate(beta, n, seed, depth, out):
     """Compare the sampler against the series oracle; exit 1 on failure."""
-    if n < 10**4:
-        raise click.UsageError(f"--n must be at least 10^4, got {n}")
     params = _params_or_usage(beta)
+    if depth is None:
+        depth = oracle_depth(params.beta)
+        if depth > _MAX_DEPTH:
+            raise click.UsageError(
+                f"the default --depth for beta={beta:g} is {depth}, above the "
+                f"maximum {_MAX_DEPTH}"
+            )
     try:
         report = validate_run(params, n, seed, depth=depth)
     except StepBudgetError as exc:

@@ -16,10 +16,12 @@ then per backward step a direction and an imputation (zeros redrawn), then
 the second drivers (from ``w2_stream`` if given).  Without zeros, uniforms
 2k - 1 and 2k drive step k and the second drivers start at 2T + 1.
 
-``run_ciaftp`` takes its first 64 steps one at a time (``backward_extend``),
-then chunks as long as the walk so far, of at most 4096 steps: the walk is
-a reflected (Lindley) random walk, so a chunk's states follow from a
-cumulative sum and minimum of its +-1 moves.  ``sample_many`` advances
+``run_ciaftp`` grows the walk in chunks as long as the walk so far, of at
+least x0^beta // 2 steps (x0^beta is the theorem's lower bound on E[T]) and
+at most 4096: the walk is a reflected (Lindley) random walk, so a chunk's
+states follow from a cumulative sum and minimum of its +-1 moves.  Where
+x0^beta < 128 (as at beta <= 2) it first takes 64 steps one at a time
+(``backward_extend``), so short walks touch no numpy.  ``sample_many`` advances
 batches one step per round on Philox blocks (uniform p is word p % 4 of
 block p // 4) and resumes on ``run_ciaftp``'s path the samples that hit a
 zero, pass the lockstep depth or are among a batch's last few.  Every value
@@ -199,13 +201,18 @@ def _complete(
     ``path``; this is how :func:`run_ciaftp` continues from its start and
     how :func:`sample_many` resumes a sample the batch did not finish.
     """
-    while path.coalesce_index is None and len(path.imputed_u) < _SCALAR_STEPS:
+    # x0^beta, the theorem's lower bound on E[T] (capped: it overflows to
+    # inf above beta ~ 110), sizes the first chunk; walks expected to be
+    # short start with single steps.
+    first = int(min(_power(params.x0, params.beta), 2 * _CHUNK_MAX)) // 2
+    prefix = _SCALAR_STEPS if first < _SCALAR_STEPS else 0
+    while path.coalesce_index is None and len(path.imputed_u) < prefix:
         if len(path.imputed_u) >= params.step_budget:
             raise StepBudgetError(params.beta, params.x0, params.step_budget, stream)
         backward_extend(params, path, stream)
     t_coal = path.coalesce_index
     if t_coal is None:
-        t_coal, u = _backward_chunked(params, path, stream, collect_path)
+        t_coal, u = _backward_chunked(params, path, stream, collect_path, first)
         # a slice at a time, so no list of a whole long path is ever built
         drivers = chain.from_iterable(reversed(u[max(h - _CHUNK_MAX, 0) : h].tolist())
                                       for h in range(t_coal - 1, 0, -_CHUNK_MAX))
@@ -225,15 +232,16 @@ def _complete(
     )
 
 
-def _backward_chunked(params, path, stream, collect_path):
-    """Grow ``path`` in chunks as long as the walk so far (at most
-    :data:`_CHUNK_MAX` steps) until it coalesces; return T and all imputed
-    U as an array.  ``path`` itself is extended only for ``collect_path``."""
+def _backward_chunked(params, path, stream, collect_path, first):
+    """Grow ``path`` in chunks as long as the walk so far, and at least
+    ``first`` steps (at most :data:`_CHUNK_MAX`), until it coalesces; return
+    T and all imputed U as an array.  ``path`` itself is extended only for
+    ``collect_path``."""
     imputed = [np.array(path.imputed_u)]
-    states = [np.array(path.d_states[1:])]
+    states = [np.array(path.d_states[1:], dtype=np.int64)]
     t, d, t_coal = len(path.imputed_u), path.d_states[-1], None
     while t_coal is None:
-        k = min(t, _CHUNK_MAX, params.step_budget - t)
+        k = min(max(t, first), _CHUNK_MAX, params.step_budget - t)
         if k <= 0:
             raise StepBudgetError(params.beta, params.x0, params.step_budget, stream)
         d_k, u_k, j = _backward_chunk(params, d, stream, k)
@@ -291,10 +299,11 @@ def _forward_walk(params, drivers, x, w2s, x_path=None):
     inv_beta = params.inv_beta
     for u in drivers:
         w1 = u**inv_beta
-        if coupler_collapses(x, w1):
+        y = 1.0 + x
+        if w1 <= 1.0 / y:  # coupler_collapses(x, w1), inlined: same float operations
             x = w2s.next_uniform() ** inv_beta
         else:
-            x = w1 * (1.0 + x)
+            x = w1 * y
         if x_path is not None:
             x_path.append(x)
     return x

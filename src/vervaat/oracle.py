@@ -77,6 +77,10 @@ def truncation_bias(beta: float, depth: int) -> float:
 def oracle_depth(beta: float, tol: float = 1e-9) -> int:
     """Smallest depth with expected truncation bias at most ``tol``."""
     ew = beta / (beta + 1.0)
+    if ew == 1.0:
+        # beta above about 2^53, where E W rounds to 1: ln E W = -log1p(1/beta)
+        # and 1 - E W = 1/(beta + 1) instead
+        return math.ceil(math.log(tol / (beta + 1.0)) / -math.log1p(1.0 / beta)) - 1
     depth = math.ceil(math.log(tol * (1.0 - ew)) / math.log(ew)) - 1
     depth = max(depth, 0)
     while truncation_bias(beta, depth) > tol:

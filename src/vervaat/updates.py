@@ -127,6 +127,8 @@ def coupler_collapses(x: float, w1: float) -> bool:
     Shared with the sampling engine so that coalescence detection and the
     forward application of the coupler can never disagree: the predicate
     is monotone in x (1/(1+x) is computed identically everywhere), hence
-    w1 <= 1/(1 + d) guarantees collapse for every start below d.
+    w1 <= 1/(1 + d) guarantees collapse for every start below d.  The
+    per-row forward loop (``engine._forward_walk``) inlines this expression
+    to save a call per step; a test pins it to this function.
     """
     return w1 <= 1.0 / (1.0 + x)

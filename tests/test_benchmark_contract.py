@@ -90,3 +90,32 @@ def test_import_split_names_every_package(layers):
     split = layers.import_split(layers.parse_importtime(err))
     for key in ("numpy", "scipy", "click", "cum:vervaat.cli", "cum:vervaat.runtime"):
         assert split.get(key, 0.0) > 0.0, key
+
+
+@pytest.fixture(scope="module")
+def reference():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import reference
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return reference
+
+
+@pytest.mark.parametrize(
+    "beta, n, seed, replayed",
+    [
+        # deep's shape: 400 rows, all on the per-row path; replay the first
+        # rows and the longest walk
+        (3.0, 400, 1001, [0, 1, 2, 3]),
+        # dickman's engine: numpy lockstep rounds, the last running rows resumed per row
+        (1.0, 2000, 2001, range(2000)),
+    ],
+)
+def test_reference_replayer_matches_sample_many(reference, beta, n, seed, replayed):
+    values, steps, d0s = sample_many(make_params(beta), n, seed)
+    replayed = {*replayed, int(steps.argmax())}
+    replayer = reference.Replayer(beta, seed)
+    for i in sorted(replayed):
+        draw = replayer.draw(i)
+        assert (draw.value, draw.steps, draw.d0) == (values[i], steps[i], d0s[i]), i

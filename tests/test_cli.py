@@ -252,6 +252,11 @@ class TestNoTraceback:
             (("validate", "--beta", "1", "--depth", "-1"), 2, "--depth"),
             (("analyze", "--beta", "120"), 2, "exceeds 1e+300"),
             (("analyze", "--beta", "1", "--truncation", "100000000000"), 2, "--truncation"),
+            (("validate", "--beta", "1", "--depth", "100000000000"), 2, "0<=x<=1000"),
+            (("validate", "--beta", "1", "--depth", "1001"), 2, "0<=x<=1000"),
+            (("validate", "--beta", "1", "--n", "100000000000"), 2, "10000<=x<=10000000"),
+            (("validate", "--beta", "50", "--n", "10000"), 2, "maximum 1000"),
+            (("validate", "--beta", "1e17", "--n", "10000"), 2, "maximum 1000"),
         ],
     )
     def test_extreme_cases(self, args, code, says):

@@ -1,4 +1,6 @@
+import inspect
 import math
+import textwrap
 import warnings
 
 import numpy as np
@@ -18,7 +20,7 @@ from vervaat import (
 )
 
 import vervaat.engine as engine_mod
-from vervaat.updates import TWO_THIRDS
+from vervaat.updates import TWO_THIRDS, coupler_collapses
 from conftest import ScriptedStream, audit_path
 
 
@@ -437,37 +439,55 @@ class TestChunkedBackward:
         assert got.steps == t_coal
         assert_same_run(dickman, got, *stepwise(dickman, ArrayStream(u)))
 
-    @pytest.mark.parametrize("budget", [64, 65, 200])
-    def test_step_budget_edge(self, budget):
+    @staticmethod
+    def budget_edge(beta, budget):
+        """A run that coalesces at exactly ``budget`` steps completes, as the
+        per-step replay; one that coalesces a step later aborts, having read
+        no uniform past the budget."""
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StepBudgetWarning)
-            params = make_params(1.0, step_budget=budget)
-        u = self.coalescing_at(params, budget)
-        assert run_ciaftp(params, ArrayStream(u)).steps == budget
-        stream = ArrayStream(self.coalescing_at(params, budget + 1))
+            params = make_params(beta, step_budget=budget)
+        u = TestChunkedBackward.coalescing_at(params, budget)
+        got = run_ciaftp(params, ArrayStream(u), collect_path=True)
+        assert got.steps == budget
+        assert_same_run(params, got, *stepwise(params, ArrayStream(u)))
+        stream = ArrayStream(TestChunkedBackward.coalescing_at(params, budget + 1))
         with pytest.raises(StepBudgetError):
             run_ciaftp(params, stream)
         assert stream.position <= 2 * budget + 1  # read nothing past the budget
 
-    @pytest.mark.parametrize("budget", [64, 65, 200])
-    def test_step_budget_aborts_the_same_rows(self, budget):
+    @staticmethod
+    def budget_aborts(beta, budget, seed, ref):
+        """Rows of ``seed`` abort exactly where their per-step T, ``ref``,
+        exceeds ``budget``, and sample_many names the first of them."""
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StepBudgetWarning)
-            params = make_params(2.0, step_budget=budget)
-        ref = [stepwise(params, UniformStream(64, i))[0].coalesce_index for i in range(40)]
-        assert min(ref) <= budget < max(ref)
+            params = make_params(beta, step_budget=budget)
         for i, t_ref in enumerate(ref):
+            stream = UniformStream(seed, i)
             if t_ref > budget:
                 with pytest.raises(StepBudgetError) as err:
-                    run_ciaftp(params, UniformStream(64, i))
-                assert (err.value.seed, err.value.index) == (64, i)
+                    run_ciaftp(params, stream)
+                assert (err.value.seed, err.value.index) == (seed, i)
+                assert stream.position <= 2 * budget + 1
             else:
-                assert run_ciaftp(params, UniformStream(64, i)).steps == t_ref
+                assert run_ciaftp(params, stream).steps == t_ref
         first = next(i for i, t in enumerate(ref) if t > budget)
         with pytest.raises(StepBudgetError) as err:
-            sample_many(params, 40, 64)
-        assert err.value.index == first
-        assert f"(seed 64, index {first})" in str(err.value)
+            sample_many(params, len(ref), seed)
+        assert (err.value.seed, err.value.index) == (seed, first)
+        assert f"(seed {seed}, index {first})" in str(err.value)
+
+    @pytest.mark.parametrize("budget", [64, 65, 200])
+    def test_step_budget_edge(self, budget):
+        self.budget_edge(1.0, budget)
+
+    @pytest.mark.parametrize("budget", [64, 65, 200])
+    def test_step_budget_aborts_the_same_rows(self, budget):
+        params = make_params(2.0)
+        ref = [stepwise(params, UniformStream(64, i))[0].coalesce_index for i in range(40)]
+        assert min(ref) <= budget < max(ref)
+        self.budget_aborts(2.0, budget, 64, ref)
 
     @pytest.mark.parametrize("min_active", [512, 16])
     def test_sample_many_past_the_prefix(self, monkeypatch, min_active):
@@ -481,3 +501,92 @@ class TestChunkedBackward:
             assert (values[i], steps[i], d0s[i]) == (
                 x_path[-1], path.coalesce_index, path.d_states[0]
             )
+
+
+@pytest.fixture(scope="module")
+def beta3_refs():
+    """T of rows 0..39 of seed 66 at beta = 3, from the per-step replay."""
+    params = make_params(3.0)
+    return [stepwise(params, UniformStream(66, i))[0].coalesce_index for i in range(40)]
+
+
+class TestFirstChunk:
+    """Where x0^beta >= 2 * _SCALAR_STEPS (beta = 3: x0^beta = 3375), the
+    walk chunks from step 0, the first chunk x0^beta // 2 = 1687 steps."""
+
+    @pytest.mark.parametrize(
+        "beta, scalar_steps, sizes",
+        [
+            (1.0, 64, [64, 128, 256]),  # x0^beta = 5: the 64-step prefix, then doubling
+            (2.0, 64, [64, 128, 256]),  # x0^beta = 100 < 2 * 64
+            (3.0, 0, [1687, 1687, 3374, 4096]),
+        ],
+    )
+    def test_chunk_sizes(self, beta, scalar_steps, sizes, monkeypatch):
+        params = make_params(beta)
+        t_coal = scalar_steps + sum(sizes[:-1]) + 1
+        u = TestChunkedBackward.coalescing_at(params, t_coal)
+        single, chunks = [], []
+        extend, chunk = engine_mod.backward_extend, engine_mod._backward_chunk
+        monkeypatch.setattr(
+            engine_mod, "backward_extend", lambda *a: single.append(1) or extend(*a)
+        )
+        monkeypatch.setattr(
+            engine_mod, "_backward_chunk", lambda *a: chunks.append(a[-1]) or chunk(*a)
+        )
+        assert run_ciaftp(params, ArrayStream(u)).steps == t_coal
+        assert len(single) == scalar_steps
+        assert chunks == sizes
+
+    @pytest.mark.parametrize("budget", [64, 1000, 1687, 1688, 5000])
+    def test_step_budget_edge(self, budget):
+        TestChunkedBackward.budget_edge(3.0, budget)
+
+    @pytest.mark.parametrize("budget", [64, 1000, 1687, 1688, 5000])
+    def test_step_budget_aborts_the_same_rows(self, budget, beta3_refs):
+        TestChunkedBackward.budget_aborts(3.0, budget, 66, beta3_refs)
+
+    def test_budgets_split_the_rows(self, beta3_refs):
+        # every budget above but 64 has rows on both sides of it
+        assert min(beta3_refs) <= 1000 and max(beta3_refs) > 5000
+
+
+class _ZeroStream:
+    """Second drivers that all read 0, so a collapsing step lands on 0."""
+
+    def next_uniform(self):
+        return 0.0
+
+
+class TestInlinedCoupler:
+    """_forward_walk inlines coupler_collapses; it must take the same branch
+    on every input, the boundary w1 == 1 / (1 + x) included."""
+
+    def test_branch_matches_the_predicate(self, dickman):
+        rng = np.random.default_rng(67)
+        xs = [0.0, 5e-324, 1e-300, 0.5, 1.0, 3.0, math.nextafter(3.0, 0.0), 7.25, 1e6]
+        xs += (rng.random(300) * 30.0).tolist()
+        branches = set()
+        for x in xs:
+            thr = 1.0 / (1.0 + x)
+            for w1 in (math.nextafter(thr, 0.0), thr, math.nextafter(thr, 1.0)):
+                # beta = 1: the driver u is w1 itself, as u ** 1.0 == u
+                got = engine_mod._forward_walk(dickman, [w1], x, _ZeroStream())
+                collapses = coupler_collapses(x, w1)
+                assert got == (0.0 if collapses else w1 * (1.0 + x)), (x, w1)
+                branches.add(collapses)
+        assert branches == {True, False}
+
+    def test_flipped_branch_breaks_beta3_rows(self, monkeypatch):
+        source = textwrap.dedent(inspect.getsource(engine_mod._forward_walk))
+        inlined = "if w1 <= 1.0 / y:"
+        assert source.count(inlined) == 1
+        namespace = dict(vars(engine_mod))
+        exec(source.replace(inlined, "if w1 > 1.0 / y:"), namespace)
+        monkeypatch.setattr(engine_mod, "_forward_walk", namespace["_forward_walk"])
+        params = make_params(3.0)
+        values, steps, _ = sample_many(params, 4, 68)
+        for i in range(4):
+            path, x_path = stepwise(params, UniformStream(68, i))
+            assert steps[i] == path.coalesce_index
+            assert values[i] != x_path[-1]

@@ -52,6 +52,14 @@ class TestTruncatedSum:
             assert truncation_bias(beta, d) <= 1e-9
             assert truncation_bias(beta, d - 1) > 1e-9
 
+    @pytest.mark.parametrize("beta", [2.0**53, 1e17])
+    def test_oracle_depth_where_mean_rounds_to_one(self, beta):
+        # beta / (beta + 1) == 1.0: the depth is beta ln((beta + 1) / tol)
+        assert beta / (beta + 1.0) == 1.0
+        expected = beta * math.log((beta + 1.0) / 1e-9)
+        assert oracle_depth(beta) == pytest.approx(expected, rel=1e-12)
+        assert oracle_depth(beta) > oracle_depth(2.0**52)
+
 
 class TestExactMoments:
     def test_dickman(self):
