@@ -40,11 +40,9 @@ from .oracle import (
 )
 from .runtime import (
     AbsorptionBracket,
-    ExpansionReport,
     RuntimeBounds,
     absorption_bracket,
     absorption_probabilities,
-    expansion_check,
     small_beta_constant,
     supermartingale_cap,
     theorem_bounds,
@@ -66,7 +64,6 @@ __all__ = [
     "AbsorptionBracket",
     "BackwardPath",
     "Check",
-    "ExpansionReport",
     "RuntimeBounds",
     "SampleResult",
     "StepBudgetError",
@@ -80,7 +77,6 @@ __all__ = [
     "coupler_collapses",
     "draw_initial_dominating",
     "exact_moments",
-    "expansion_check",
     "forward_reconstruct",
     "geometric_half",
     "ks_critical_value",

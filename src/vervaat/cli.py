@@ -25,6 +25,9 @@ _CSV_ROWS = 8192
 #: Largest ``analyze --truncation``: the solve holds a few arrays of this
 #: length, and the bracket reaches the solver tolerance by about 50.
 _MAX_TRUNCATION = 10_000
+#: Largest ``sample --n``: a run holds about 24 bytes per row, so about
+#: 2.4 GB at this size.
+_MAX_SAMPLE_N = 10**8
 #: Largest ``validate --n``: a run holds about 125 bytes per row, so about
 #: 1.3 GB at this size.
 _MAX_VALIDATE_N = 10**7
@@ -107,7 +110,13 @@ def _params_or_usage(beta, **kwargs):
 
 @main.command()
 @_beta_option
-@click.option("--n", type=int, default=10, show_default=True, help="Number of samples.")
+@click.option(
+    "--n",
+    type=click.IntRange(1, _MAX_SAMPLE_N),
+    default=10,
+    show_default=True,
+    help="Number of samples.",
+)
 @_seed_option
 @click.option(
     "--format",
@@ -119,8 +128,6 @@ def _params_or_usage(beta, **kwargs):
 @_out_option
 def sample(beta, n, seed, fmt, out):
     """Draw perfect samples; one row per draw (index, y_value, steps, d0)."""
-    if n < 1:
-        raise click.UsageError(f"--n must be >= 1, got {n}")
     params = _params_or_usage(beta)
     try:
         values, steps, d0s = sample_many(params, n, seed)

@@ -23,8 +23,10 @@ states follow from a cumulative sum and minimum of its +-1 moves.  Where
 x0^beta < 128 (as at beta <= 2) it first takes 64 steps one at a time
 (``backward_extend``), so short walks touch no numpy.  ``sample_many`` advances
 batches one step per round on Philox blocks (uniform p is word p % 4 of
-block p // 4) and resumes on ``run_ciaftp``'s path the samples that hit a
-zero, pass the lockstep depth or are among a batch's last few.  Every value
+block p // 4).  A sample that hits a zero, passes the lockstep depth or is
+among a batch's last few leaves after k steps as (k, D(-k)), its stream at
+2k + 1; ``run_ciaftp``'s path finishes its walk and rolls it forward to
+X(-k), and the lockstep applies steps k .. 1 with the rest.  Every value
 that decides the output is the per-step code's, because numpy's ``power``
 and ``log`` differ from libm's in the last bit for some inputs: powers
 U ** (1/beta) go through libm element by element (numpy's ``power`` only
@@ -35,7 +37,7 @@ geometric start wherever numpy's log could round it differently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -194,25 +196,27 @@ def _complete(
     stream,
     w2_stream=None,
     collect_path: bool = False,
+    done: int = 0,
 ) -> SampleResult:
     """Grow ``path`` backwards until it coalesces, then run the forward pass.
 
     ``stream`` must be positioned just after the uniforms that built
-    ``path``; this is how :func:`run_ciaftp` continues from its start and
-    how :func:`sample_many` resumes a sample the batch did not finish.
+    ``path``.  With ``done`` = k, ``path`` starts at D(-k) after k steps
+    taken elsewhere: they count toward the budget and the chunk sizes,
+    ``steps`` is the whole T, and ``value`` and ``d0`` are X(-k) and D(-k).
     """
     # x0^beta, the theorem's lower bound on E[T] (capped: it overflows to
     # inf above beta ~ 110), sizes the first chunk; walks expected to be
     # short start with single steps.
     first = int(min(_power(params.x0, params.beta), 2 * _CHUNK_MAX)) // 2
     prefix = _SCALAR_STEPS if first < _SCALAR_STEPS else 0
-    while path.coalesce_index is None and len(path.imputed_u) < prefix:
-        if len(path.imputed_u) >= params.step_budget:
+    while path.coalesce_index is None and done + len(path.imputed_u) < prefix:
+        if done + len(path.imputed_u) >= params.step_budget:
             raise StepBudgetError(params.beta, params.x0, params.step_budget, stream)
         backward_extend(params, path, stream)
     t_coal = path.coalesce_index
     if t_coal is None:
-        t_coal, u = _backward_chunked(params, path, stream, collect_path, first)
+        t_coal, u = _backward_chunked(params, path, stream, collect_path, first, done)
         # a slice at a time, so no list of a whole long path is ever built
         drivers = chain.from_iterable(reversed(u[max(h - _CHUNK_MAX, 0) : h].tolist())
                                       for h in range(t_coal - 1, 0, -_CHUNK_MAX))
@@ -225,23 +229,24 @@ def _complete(
     x = _forward_walk(params, drivers, x, w2s, x_path)
     return SampleResult(
         value=x,
-        steps=t_coal,
+        steps=done + t_coal,
         d0=path.d_states[0],
         path=path if collect_path else None,
         x_path=x_path,
     )
 
 
-def _backward_chunked(params, path, stream, collect_path, first):
-    """Grow ``path`` in chunks as long as the walk so far, and at least
-    ``first`` steps (at most :data:`_CHUNK_MAX`), until it coalesces; return
-    T and all imputed U as an array.  ``path`` itself is extended only for
+def _backward_chunked(params, path, stream, collect_path, first, done):
+    """Grow ``path`` in chunks as long as the walk so far (``done`` steps
+    before ``path`` included), and at least ``first`` steps (at most
+    :data:`_CHUNK_MAX`), until it coalesces; return T within ``path`` and
+    all its imputed U as an array.  ``path`` itself is extended only for
     ``collect_path``."""
     imputed = [np.array(path.imputed_u)]
     states = [np.array(path.d_states[1:], dtype=np.int64)]
     t, d, t_coal = len(path.imputed_u), path.d_states[-1], None
     while t_coal is None:
-        k = min(max(t, first), _CHUNK_MAX, params.step_budget - t)
+        k = min(max(done + t, first), _CHUNK_MAX, params.step_budget - done - t)
         if k <= 0:
             raise StepBudgetError(params.beta, params.x0, params.step_budget, stream)
         d_k, u_k, j = _backward_chunk(params, d, stream, k)
@@ -369,42 +374,54 @@ def _pow(u: np.ndarray, inv_beta: float) -> np.ndarray:
 def _sample_batch(params, stream, first, values, steps, d0s):
     """Fill the rows of substreams first, first + 1, ... in lockstep.
 
-    ``stream`` is the scalar path's stream, re-pointed at each sample that
-    resumes there.
+    ``stream`` is the per-row path's stream, re-pointed at each row that
+    continues there, in row order.
     """
     if values.size < _MIN_ACTIVE:
-        resume = [(r, 0, 0) for r in range(values.size)]
-        _resume(params, stream, first, [], resume, values, steps, d0s)
+        for r in range(values.size):
+            res = run_ciaftp(params, stream.restart(first + r))
+            values[r], steps[r], d0s[r] = res.value, res.steps, res.d0
         return
+    seed = stream.seed
     index = np.arange(values.size, dtype=np.uint64) + np.uint64(first)
-    hist, t_coal, block, resume = _backward(params, stream.seed, index, d0s)
-    _forward(params, stream.seed, index, hist, t_coal, block, values)
-    locked = np.flatnonzero(t_coal)
-    steps[locked] = t_coal[locked]
-    if resume:
-        _resume(params, stream, first, hist, resume, values, steps, d0s)
+    hist, block, pos, handoff = _backward(params, seed, index, values, steps, d0s)
+    resumed = []
+    for r, k, d in handoff:
+        stream.restart(first + r)
+        if d is None:
+            res = run_ciaftp(params, stream)
+            d0s[r] = res.d0
+        else:
+            res = _complete(params, BackwardPath([d]), stream.seek(2 * k + 1), done=k)
+            resumed.append(r)
+            pos[r] = stream.position
+        values[r], steps[r] = res.value, res.steps
+    if resumed:
+        block[:, resumed] = philox_block(seed, index[resumed], (pos[resumed] - 1) // 4)
+    _forward(params, seed, index, hist, block, pos, values)
 
 
-def _backward(params, seed, index, d0s):
+def _backward(params, seed, index, values, steps, d0s):
     """Backward phase of the rows of substreams ``index``, in lockstep.
 
-    Writes each row's D(0) to ``d0s`` and returns ``(hist, t_coal, block,
-    resume)``: per backward step k, ``hist[k - 1]`` holds (rows taking it,
-    D(-k), imputed U(-k), W(-k)(1), coalesced) for the rows still in
-    lockstep, rows in ascending order; ``t_coal`` is T for the rows that
-    coalesced (0 for the others) and ``block`` their last Philox block;
-    ``resume`` lists (row, steps done, stream position) for the rows left
-    to the scalar path.
+    Writes each row's D(0) to ``d0s``, and T and X(-T+1) = W(-T)(2) of each
+    row that coalesces to ``steps`` and ``values``.  Returns ``(hist,
+    block, pos, handoff)``: per backward step k, ``hist[k - 1]`` holds (rows
+    taking it, W(-k)(1), coalesced), rows in ascending order; ``pos`` and
+    ``block`` are a coalesced row's next stream position and the Philox
+    block before it; ``handoff`` lists, in row order, (row, k, D(-k)) for
+    the rows left to the per-row path after k steps, their streams at
+    2k + 1, and (row, 0, None) for those whose geometric start drew a zero.
     """
     m = index.size
     inv_beta = params.inv_beta
     floor = params.x0 - 1
     hist = []
-    t_coal = np.zeros(m, dtype=np.int64)
+    pos = np.zeros(m, dtype=np.int64)
     block = np.empty((4, m))
     blk = philox_block(seed, index, 0)
     zero = blk[0] == 0.0  # the geometric start redraws it: restart these rows
-    resume = [(int(r), 0, 0) for r in np.flatnonzero(zero)]
+    handoff = [(r, 0, None) for r in np.flatnonzero(zero).tolist()]
     d0s[:] = params.x0 - 2 + _geometric_array(np.where(zero, 0.5, blk[0]))
     rows = np.flatnonzero(~zero)
     d = d0s[rows]
@@ -413,16 +430,16 @@ def _backward(params, seed, index, d0s):
     k = 0
     while rows.size:
         if rows.size < _MIN_ACTIVE or k >= depth:
-            resume += [(int(r), k, 2 * k + 1) for r in rows]
+            handoff += zip(rows.tolist(), repeat(k), d.tolist())
             break
         k += 1
         u_dir = blk[(2 * k - 1) % 4]
         if k % 2 == 0:
             blk = philox_block(seed, index[rows], k // 2)
         u = blk[(2 * k) % 4]
-        zero = u == 0.0  # the imputation redraws it: redo step k on the scalar path
+        zero = u == 0.0  # the imputation redraws it: step k runs on the per-row path
         if zero.any():
-            resume += [(int(r), k - 1, 2 * k - 1) for r in rows[zero]]
+            handoff += zip(rows[zero].tolist(), repeat(k - 1), d[zero].tolist())
             keep = ~zero
             rows, d, u_dir, u = rows[keep], d[keep], u_dir[keep], u[keep]
             blk = blk[:, keep]
@@ -430,36 +447,33 @@ def _backward(params, seed, index, d0s):
         u_imp = np.where(d == d_new + 1, TWO_THIRDS + u / 3.0, TWO_THIRDS * u)
         w1 = _pow(u_imp, inv_beta)
         done = coupler_collapses(d_new, w1)
-        hist.append((rows, d_new, u_imp, w1, done))
+        hist.append((rows, w1, done))
         if done.any():
-            t_coal[rows[done]] = k
-            block[:, rows[done]] = blk[:, done]
+            c = rows[done]  # W(-k)(2) is uniform 2k + 1, in the block of uniform 2k
+            steps[c], pos[c], block[:, c] = k, 2 * k + 2, blk[:, done]
+            values[c] = _pow(blk[(2 * k + 1) % 4, done], inv_beta)
             going = ~done
             rows, d, blk = rows[going], d_new[going], blk[:, going]
         else:
             d = d_new
-    return hist, t_coal, block, resume
+    handoff.sort()
+    return hist, block, pos, handoff
 
 
-def _forward(params, seed, index, hist, t_coal, block, values):
-    """Forward pass of the rows that coalesced in :func:`_backward`.
+def _forward(params, seed, index, hist, block, pos, x):
+    """Forward steps of the rows in ``hist``, from the deepest step down.
 
-    Runs from the deepest step down.  A row's second drivers start at
-    position 2T + 1, which always lies in ``block``, the block that holds
-    its last imputation uniform; later ones refill it as they cross into
-    the next block.
+    On entry ``x`` holds, for each row, the state its forward pass reached
+    off the lockstep: X(-T+1) for a row that coalesced at T, X(-k) for one
+    the per-row path finished after a hand-off at k.  Step j applies to
+    every row of ``hist[j - 1]`` that did not coalesce there.  ``pos`` is
+    each row's next second-driver position, and ``block`` the Philox block
+    holding the uniform before it; a collapse refills it as it crosses
+    into the next block.
     """
     inv_beta = params.inv_beta
-    locked = t_coal > 0
-    rows = np.flatnonzero(locked)
-    pos = 2 * t_coal + 1
-    x = np.zeros(t_coal.size)
-    x[rows] = _pow(block[pos[rows] % 4, rows], inv_beta)
-    pos += 1
-    for rows_k, _, _, w1_k, done_k in reversed(hist[:-1]):
-        take = ~done_k & locked[rows_k]  # the rows with T > k
-        r = rows_k[take]
-        w1 = w1_k[take]
+    for rows_k, w1_k, done_k in reversed(hist):
+        r, w1 = rows_k[~done_k], w1_k[~done_k]
         xr = x[r]
         collapse = coupler_collapses(xr, w1)
         new = w1 * (1.0 + xr)
@@ -473,35 +487,3 @@ def _forward(params, seed, index, hist, t_coal, block, values):
             new[collapse] = _pow(block[pc % 4, c], inv_beta)
             pos[c] = pc + 1
         x[r] = new
-    values[rows] = x[rows]
-
-
-def _resume(params, stream, first, hist, resume, values, steps, d0s):
-    """Finish the rows :func:`_backward` left, in row order, on the scalar
-    path, each from its walk state and stream position."""
-    resume.sort()
-    if hist:
-        # D(-j) and U(-j), j = 1 .. k, of the resumed rows from the lockstep
-        rrows = np.array([r for r, _, _ in resume])
-        rsteps = np.array([k for _, k, _ in resume])
-        d_hist = np.zeros((rrows.size, len(hist)), dtype=np.int64)
-        u_hist = np.zeros((rrows.size, len(hist)))
-        for j, (rows_j, d_j, u_j, _, _) in enumerate(hist):
-            sel = rsteps > j
-            at = np.searchsorted(rows_j, rrows[sel])
-            d_hist[sel, j] = d_j[at]
-            u_hist[sel, j] = u_j[at]
-        hist.clear()  # the resumed rows may run long; free what they no longer need
-    for at, (r, k, start) in enumerate(resume):
-        stream.restart(first + r)
-        if start == 0:
-            res = run_ciaftp(params, stream)
-        else:
-            path = BackwardPath(d_states=[int(d0s[r])])
-            if k:
-                path.d_states += d_hist[at, :k].tolist()
-                path.imputed_u += u_hist[at, :k].tolist()
-            res = _complete(params, path, stream.seek(start))
-        values[r] = res.value
-        steps[r] = res.steps
-        d0s[r] = res.d0

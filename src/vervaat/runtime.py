@@ -16,7 +16,7 @@ tighten geometrically in the truncation level.
 
 For small beta the expected step count expands as E T = 1 + (1 + o(1)) c
 beta with c = sum_{i>=1} 2^-i ln(i + 1) ~ 1.016, the stationary mean of
-ln(D + 1); ``expansion_check`` compares that prediction against simulation.
+ln(D + 1) (``small_beta_constant``).
 """
 
 from __future__ import annotations
@@ -27,19 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .engine import sample_many
-from .updates import BETA0, VervaatParams, _power, make_params
+from .updates import VervaatParams, _power
 
 __all__ = [
     "RuntimeBounds",
     "AbsorptionBracket",
-    "ExpansionReport",
     "theorem_bounds",
     "supermartingale_cap",
     "absorption_probabilities",
     "absorption_bracket",
     "small_beta_constant",
-    "expansion_check",
 ]
 
 #: Padding factor covering float64 rounding in the banded solve and the
@@ -71,18 +68,6 @@ class AbsorptionBracket:
     @property
     def width(self) -> float:
         return self.upper - self.lower
-
-
-@dataclass(frozen=True, slots=True)
-class ExpansionReport:
-    """Simulation check of the small-beta expansion E T ~ 1 + c beta."""
-
-    beta: float
-    n: int
-    empirical_mean: float
-    predicted_mean: float
-    std_error: float
-    c: float
 
 
 def _top_power(params: VervaatParams) -> float:
@@ -216,25 +201,3 @@ def small_beta_constant(tol: float) -> float:
             return total
         i += 1
 
-
-def expansion_check(beta: float, n: int, seed: int) -> ExpansionReport:
-    """Compare the empirical mean step count against 1 + c beta.
-
-    Valid for 0 < beta <= beta0 = ln(3/2)/ln 3, the range on which the
-    dominating walk has x0 = 2 and the expansion is derived.
-    """
-    if not 0 < beta <= BETA0:
-        raise ValueError(f"beta must lie in (0, {BETA0:.6f}], got {beta}")
-    params = make_params(beta)
-    _, steps, _ = sample_many(params, n, seed)
-    c = small_beta_constant(1e-9)
-    mean = float(steps.mean())
-    se = float(steps.std() / math.sqrt(n))
-    return ExpansionReport(
-        beta=beta,
-        n=n,
-        empirical_mean=mean,
-        predicted_mean=1.0 + c * beta,
-        std_error=se,
-        c=c,
-    )

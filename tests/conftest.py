@@ -1,5 +1,6 @@
-"""Shared fixtures: scripted streams, sample batches, path auditing, and the
-reference update rules the property tests check.
+"""Shared fixtures: scripted streams, sample batches, path auditing, the
+reference update rules the property tests check, and the simulation check of
+the small-beta expansion.
 
 The statistical fixtures are expensive (up to 10^6 perfect samples) and
 session-scoped so the whole suite draws each batch exactly once.  Seeds
@@ -13,10 +14,13 @@ coupler here uses the engine's own predicate, ``updates.coupler_collapses``,
 so the monotonicity and domination sweeps check the test the engine makes.
 """
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from vervaat import make_params, sample_many
+from vervaat import make_params, sample_many, small_beta_constant
 from vervaat.updates import coupler_collapses
 
 SEED_DICKMAN = 20260810
@@ -143,6 +147,36 @@ def audit_path(params, path):
     assert us[t_coal - 1] ** params.inv_beta <= 1.0 / (1.0 + ds[t_coal])
     for s in range(1, t_coal):
         assert us[s - 1] ** params.inv_beta > 1.0 / (1.0 + ds[s])
+
+
+@dataclass(frozen=True, slots=True)
+class ExpansionReport:
+    """Simulation check of the small-beta expansion E T ~ 1 + c beta."""
+
+    beta: float
+    n: int
+    empirical_mean: float
+    predicted_mean: float
+    std_error: float
+    c: float
+
+
+def expansion_check(beta, n, seed):
+    """Compare the empirical mean step count against 1 + c beta.
+
+    The expansion is derived for 0 < beta <= BETA0 = ln(3/2)/ln 3, the
+    range on which the dominating walk has x0 = 2.
+    """
+    _, steps, _ = sample_many(make_params(beta), n, seed)
+    c = small_beta_constant(1e-9)
+    return ExpansionReport(
+        beta=beta,
+        n=n,
+        empirical_mean=float(steps.mean()),
+        predicted_mean=1.0 + c * beta,
+        std_error=float(steps.std() / math.sqrt(n)),
+        c=c,
+    )
 
 
 @pytest.fixture(scope="session")

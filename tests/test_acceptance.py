@@ -15,7 +15,6 @@ from vervaat import (
     EULER_GAMMA,
     UniformStream,
     absorption_bracket,
-    expansion_check,
     forward_reconstruct,
     ks_critical_value,
     ks_two_sample,
@@ -33,6 +32,7 @@ from conftest import (
     SEED_ORACLE,
     audit_path,
     dominating_update,
+    expansion_check,
     multigamma_update,
     stationarity_check,
 )

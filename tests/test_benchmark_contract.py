@@ -5,9 +5,12 @@ decomposed engine steps, the oracle and runtime functions, ``cli.main``), and
 ``perfbench/run.py`` reads the ``-X importtime`` split of ``vervaat.cli``.
 When one of those names disappears or changes its signature, the traced
 benchmark run reports null metrics; these tests make the same calls, so the
-suite fails first.
+suite fails first.  Five commands are also checked against the sha256 digests
+in ``perfbench/digests.json``, which the tests only read.
 """
 
+import hashlib
+import json
 import math
 import os
 import subprocess
@@ -16,8 +19,10 @@ from pathlib import Path
 from time import perf_counter
 
 import pytest
+from click.testing import CliRunner
 
 from vervaat import make_params, sample_many
+from vervaat.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -119,3 +124,23 @@ def test_reference_replayer_matches_sample_many(reference, beta, n, seed, replay
     for i in sorted(replayed):
         draw = replayer.draw(i)
         assert (draw.value, draw.steps, draw.d0) == (values[i], steps[i], d0s[i]), i
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "sample --beta 1 --n 100000 --seed 0",
+        "sample --beta 3 --n 400 --seed 0",
+        "analyze --beta 1",
+        "trace --beta 1 --seed 2",
+        "validate --beta 1 --n 100000 --seed 0",
+    ],
+)
+def test_output_matches_the_recorded_digest(command):
+    """The benchmark compares every output byte for byte with
+    ``perfbench/digests.json``; the suite makes the same check in process,
+    so a change in output bytes fails here first."""
+    recorded = json.loads((ROOT / "perfbench" / "digests.json").read_text())[command]
+    r = CliRunner().invoke(main, command.split(), catch_exceptions=False)
+    assert r.exit_code == 0
+    assert hashlib.sha256(r.stdout_bytes).hexdigest() == recorded

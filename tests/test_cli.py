@@ -234,6 +234,37 @@ class TestNoTraceback:
         else:
             assert r.exit_code == 2
 
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(st.integers(-5, 2000), st.integers(-(2**63), 2**64 - 1))
+    @example(0, -(2**63))
+    @example(1, 2**64 - 1)
+    def test_sample_any_n_and_seed(self, n, seed):
+        r = run_cleanly("sample", "--beta", "1", "--n", str(n), "--seed", str(seed))
+        assert r.exit_code == (0 if n >= 1 else 2)
+        if r.exit_code == 0:
+            assert r.output.count("\n") == n + 1
+
+    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @given(st.integers(-1, 2**64))
+    @example(-1)
+    @example(2**64)
+    def test_trace_any_index(self, index):
+        r = run_cleanly("trace", "--beta", "1", "--index", str(index))
+        assert r.exit_code == (0 if 0 <= index < 2**64 else 2)
+
+    @settings(max_examples=12, deadline=None, database=None, derandomize=True)
+    @given(st.sampled_from([9999, 10000]), st.sampled_from([None, -1, 0, 1, 1000, 1001]))
+    def test_validate_n_and_depth_at_their_limits(self, n, depth):
+        args = ["validate", "--beta", "1", "--n", str(n)]
+        if depth is not None:
+            args += ["--depth", str(depth)]
+        r = run_cleanly(*args)
+        if n < 10_000 or not (depth is None or 0 <= depth <= 1000):
+            assert r.exit_code == 2
+        else:
+            assert r.exit_code in (0, 1)
+            json.loads(r.stdout)
+
     @pytest.mark.parametrize(
         "args, code, says",
         [
@@ -257,6 +288,7 @@ class TestNoTraceback:
             (("validate", "--beta", "1", "--n", "100000000000"), 2, "10000<=x<=10000000"),
             (("validate", "--beta", "50", "--n", "10000"), 2, "maximum 1000"),
             (("validate", "--beta", "1e17", "--n", "10000"), 2, "maximum 1000"),
+            (("sample", "--beta", "1", "--n", "100000000000000"), 2, "1<=x<=100000000"),
         ],
     )
     def test_extreme_cases(self, args, code, says):

