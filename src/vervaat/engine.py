@@ -387,12 +387,12 @@ def _sample_batch(params, stream, first, values, steps, d0s):
     hist, block, pos, handoff = _backward(params, seed, index, values, steps, d0s)
     resumed = []
     for r, k, d in handoff:
-        stream.restart(first + r)
         if d is None:
-            res = run_ciaftp(params, stream)
+            res = run_ciaftp(params, stream.restart(first + r))
             d0s[r] = res.d0
         else:
-            res = _complete(params, BackwardPath([d]), stream.seek(2 * k + 1), done=k)
+            stream.seek(2 * k + 1, first + r)
+            res = _complete(params, BackwardPath([d]), stream, done=k)
             resumed.append(r)
             pos[r] = stream.position
         values[r], steps[r] = res.value, res.steps

@@ -153,6 +153,13 @@ def absorption_bracket(params: VervaatParams, truncation: int) -> AbsorptionBrac
 
     Increasing the truncation never widens the bracket; by truncation ~50
     the width is already dominated by the solver tolerance.
+
+    The banded solve sees the absorption rate q only through
+    1 - p_up - p_down, so q is lost to cancellation once it nears 1e-16.
+    From beta ~ 5 the bracket no longer contains E T (at beta = 5 to 9 it
+    is still ordered, but wrong), and from beta ~ 10 it comes out inverted;
+    an inverted bracket raises ValueError.  A subtraction-free solve would
+    fix both.
     """
     if truncation < 2:
         raise ValueError(f"truncation must be >= 2, got {truncation}")
@@ -176,11 +183,14 @@ def absorption_bracket(params: VervaatParams, truncation: int) -> AbsorptionBrac
     # them only tightens the bracket (visible at small truncations, where
     # the zero-boundary solve undershoots the closed-form lower bound).
     closed = theorem_bounds(params)
-    return AbsorptionBracket(
-        lower=max(lower - pad, closed.lower),
-        upper=min(upper + pad, closed.upper),
-        truncation=truncation,
-    )
+    lower, upper = max(lower - pad, closed.lower), min(upper + pad, closed.upper)
+    if not lower <= upper:
+        raise ValueError(
+            f"beta={params.beta:g}: the absorption solve lost q = (d + 1)^-beta "
+            f"to cancellation and gave an inverted bracket "
+            f"[{lower:.6g}, {upper:.6g}]"
+        )
+    return AbsorptionBracket(lower=lower, upper=upper, truncation=truncation)
 
 
 def small_beta_constant(tol: float) -> float:

@@ -108,16 +108,17 @@ class UniformStream:
         """Rewind to the start of this stream (optionally re-pointing it at
         another substream index).  Cheaper than constructing a fresh stream;
         the replayed sequence is identical to a freshly built one."""
-        if index is not None:
-            self.index = _check_index(index)
-        return self.seek(0)
+        return self.seek(0, index)
 
-    def seek(self, position: int) -> "UniformStream":
-        """Move to uniform number ``position`` of the current substream, so
-        that the next draw is the one a fresh stream would make after
-        ``position`` draws."""
+    def seek(self, position: int, index: int | None = None) -> "UniformStream":
+        """Move to uniform number ``position`` of the current substream (or
+        of substream ``index``), so that the next draw is the one a fresh
+        stream would make after ``position`` draws.  Re-keying and
+        positioning take one Philox state load."""
         if position < 0:
             raise ValueError(f"stream position must be >= 0, got {position}")
+        if index is not None:
+            self.index = _check_index(index)
         block, word = divmod(int(position), 4)
         state = self._state
         counter = state["state"]["counter"]

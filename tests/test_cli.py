@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vervaat.cli import _csv_rows, main
+from vervaat.cli import _CSV_NUMPY_MIN, _CSV_ROWS, _csv_rows, _value_digits, main
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +74,7 @@ class TestSample:
         assert r.exit_code == 2
 
     def test_csv_rows_match_the_f_string_form(self):
+        """Both writers: ``%`` below the size crossover, numpy from it."""
         tiny = np.nextafter(0.0, 1.0)
         values = np.array(
             [0.0, tiny, 2 * tiny, 2.2250738585072014e-308 - tiny, 1.0 - 2.0**-53,
@@ -82,13 +83,9 @@ class TestSample:
         )
         steps = np.arange(1, values.size + 1, dtype=np.int64) * 7919
         d0s = np.arange(values.size, dtype=np.int64) % 13 + 4
-        want = "".join(
-            f"{i},{v:.17g},{s},{d}\n"
-            for i, v, s, d in zip(
-                range(40, 40 + values.size), values.tolist(), steps.tolist(), d0s.tolist()
-            )
-        )
-        assert _csv_rows(40, values, steps, d0s) == want
+        for m in (_CSV_NUMPY_MIN - 1, values.size):
+            v, s, d = values[:m], steps[:m], d0s[:m]
+            assert _csv_rows(40, v, s, d) == f_string_rows(40, v, s, d)
 
     @pytest.mark.filterwarnings("ignore::vervaat.StepBudgetWarning")
     def test_budget_abort_names_the_row(self):
@@ -201,6 +198,94 @@ class TestTrace:
         assert r.exit_code == 2
 
 
+def f_string_rows(first, values, steps, d0s):
+    return "".join(
+        f"{i},{v:.17g},{s},{d}\n"
+        for i, v, s, d in zip(
+            range(first, first + len(values)), values.tolist(), steps.tolist(), d0s.tolist()
+        )
+    )
+
+
+def percent_rows(first, values, steps, d0s):
+    """The rows as one ``%`` operation formats them (the writer of earlier
+    versions)."""
+    m = len(values)
+    flat = [None] * (4 * m)
+    flat[0::4] = range(first, first + m)
+    flat[1::4] = values.tolist()
+    flat[2::4] = steps.tolist()
+    flat[3::4] = d0s.tolist()
+    return ("%d,%.17g,%d,%d\n" * m) % tuple(flat)
+
+
+def writer_values(rng, n_random):
+    """Floats that stress the numpy CSV writer, followed by 4 * n_random
+    random ones: zeros, subnormals and the smallest normal, integers,
+    non-finite values, the exact ties N / 2^17 for odd N in [2^17, 10 * 2^17)
+    (17 decimals, so digit 18 is a 5), and 10^k with 3 neighbours on each side
+    for k in [-5, 17], which covers both edges of the fast range."""
+    tiny = np.nextafter(0.0, 1.0)
+    normal = np.finfo(float).tiny
+    special = np.array(
+        [0.0, -0.0, tiny, 2 * tiny, 3 * tiny, normal - tiny, normal, normal + tiny,
+         1.0, 2.0, 10.0, 100.0, 123456.0, 0.5, 1.5, 10.5, 2.0**52 + 0.5, 2.0**53,
+         2.0**70, np.inf, -np.inf, np.nan, -1.5, -1e-5, np.finfo(float).max]
+    )
+    ties = np.arange(2**17 + 1, 10 * 2**17, 2) / 2.0**17
+    powers = np.array([float(f"1e{k}") for k in range(-5, 18)])
+    near = (powers.view(np.int64)[:, None] + np.arange(-3, 4)).ravel().view(np.float64)
+    bits = rng.integers(0, 2**64, n_random, dtype=np.uint64, endpoint=False).view(np.float64)
+    randoms = np.concatenate([
+        bits[np.isfinite(bits)],
+        10.0 ** rng.uniform(-6, 17, n_random),  # every exponent of both forms
+        rng.random(n_random),
+        # few significant digits: long runs of trailing zeros
+        rng.integers(1, 10**6, n_random) / 10.0 ** rng.integers(0, 12, n_random),
+    ])
+    rng.shuffle(randoms)
+    return np.concatenate([special, near, ties, randoms])
+
+
+def check_writer(values, rng):
+    """Compare the writer with the ``%`` form over chunks of ``_CSV_ROWS``
+    rows, whose index columns cross powers of ten and 2^32, with steps from 0
+    to 2^62."""
+    starts = [0, 9_990, 99_900, 10**8 - 4000, 2**32 - 4000, 10**12 - 100]
+    for c, lo in enumerate(range(0, len(values), _CSV_ROWS)):
+        v = values[lo : lo + _CSV_ROWS]
+        m = len(v)
+        steps = np.where(
+            rng.random(m) < 0.9,
+            rng.integers(1, 20, m),
+            rng.integers(0, 2**62, m, endpoint=True),
+        )
+        steps[: min(m, 3)] = [2**62, 10**4, 9999][:m]
+        d0s = rng.integers(0, 10 ** rng.integers(1, 19) if c % 4 == 0 else 40, m)
+        first = starts[c % len(starts)]
+        got, want = _csv_rows(first, v, steps, d0s), percent_rows(first, v, steps, d0s)
+        if got != want:  # report the first bad row, not a diff of 8192
+            bad = next(
+                (g, w) for g, w in zip(got.split("\n"), want.split("\n")) if g != w
+            )
+            pytest.fail(f"chunk {c}: wrote {bad[0]!r}, want {bad[1]!r}")
+
+
+class TestCsvWriter:
+    """The numpy writer against ``%``, on about 10^6 values."""
+
+    def test_matches_the_percent_form(self):
+        rng = np.random.default_rng(13)
+        check_writer(writer_values(rng, 80_000), rng)
+
+    def test_fast_path_covers_the_fixed_range(self):
+        """Only rows near a power of ten, and integers, take the ``%``
+        fallback; an exponent off by one would send every row there."""
+        x = 10.0 ** np.random.default_rng(5).uniform(-4, 15, 100_000)
+        _, _, slow = _value_digits(x)
+        assert slow.mean() < 0.01
+
+
 def run_cleanly(*args):
     """Invoke the CLI and assert it ends in a documented exit code with no
     traceback; return the result."""
@@ -231,6 +316,7 @@ class TestNoTraceback:
             numbers = [*payload["bounds"].values(), payload["bracket"]["lower"],
                        payload["bracket"]["upper"]]
             assert all(math.isfinite(v) for v in numbers)
+            assert payload["bracket"]["lower"] <= payload["bracket"]["upper"]
         else:
             assert r.exit_code == 2
 
@@ -289,6 +375,7 @@ class TestNoTraceback:
             (("validate", "--beta", "50", "--n", "10000"), 2, "maximum 1000"),
             (("validate", "--beta", "1e17", "--n", "10000"), 2, "maximum 1000"),
             (("sample", "--beta", "1", "--n", "100000000000000"), 2, "1<=x<=100000000"),
+            (("analyze", "--beta", "20"), 2, "cancellation"),
         ],
     )
     def test_extreme_cases(self, args, code, says):

@@ -68,6 +68,18 @@ def test_seek_equals_fresh_stream_after_that_many_draws():
         assert s.position == position + 1
 
 
+@pytest.mark.parametrize("seed", [99, 2**63 + 12345, 2**64 - 1])
+@pytest.mark.parametrize("index", [4, 2**63, 2**64 - 1])
+def test_seek_with_index_equals_fresh_stream_seek(seed, index):
+    s = UniformStream(seed, 7)
+    s.uniforms(13)
+    for position in (0, 5, 129):
+        s.seek(position, index)
+        assert (s.index, s.position) == (index, position)
+        want = UniformStream(seed, index).seek(position).uniforms(70)
+        assert np.array_equal(s.uniforms(70), want)
+
+
 def test_negative_index_rejected():
     with pytest.raises(ValueError):
         UniformStream(1, -1)
