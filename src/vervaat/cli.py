@@ -22,7 +22,6 @@ formatted by ``%`` and stored over their numpy cells.
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 
@@ -63,7 +62,9 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-@functools.cache
+_DIGIT_GROUPS: np.ndarray | None = None
+
+
 def _digit_groups() -> np.ndarray:
     """ASCII of each four-digit group, 4 bytes per entry, 0 for pad.
 
@@ -72,6 +73,9 @@ def _digit_groups() -> np.ndarray:
     always with its units digit).  The last entry is all pad.  Built on
     first use, so that short runs, which format by ``%``, never pay for it.
     """
+    global _DIGIT_GROUPS
+    if _DIGIT_GROUPS is not None:
+        return _DIGIT_GROUPS
     i = np.arange(10000)
     plain = np.empty((10000, 4), dtype=np.uint8)
     for j in range(4):
@@ -85,7 +89,8 @@ def _digit_groups() -> np.ndarray:
     for j in range(3):
         zeros &= plain[:, j] == 48
         lead[:, j] *= ~zeros
-    return np.concatenate([plain, trail, lead, np.zeros((1, 4), dtype=np.uint8)])
+    _DIGIT_GROUPS = np.concatenate([plain, trail, lead, np.zeros((1, 4), dtype=np.uint8)])
+    return _DIGIT_GROUPS
 
 
 def _value_layout() -> np.ndarray:

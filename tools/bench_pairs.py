@@ -1,14 +1,15 @@
-"""Record alternating benchmark runs of two versions in one JSON file.
+"""Record alternating benchmark runs of two commits in one JSON file.
 
     python3 tools/bench_pairs.py --base <commit> --workload dickman \
         --workload deep --pairs 10 --out BENCH_<n>.json
 
-Run it from the repository root.  The base commit, and ``--head`` if one is
-given, are exported into a temporary directory with ``git archive``; without
-``--head`` the head side is the working tree itself.  For each workload and
-pair, ``perfbench/run.py --workload W --seed S`` then runs once from each
-side's root, the two sides taking turns at going first.  Pair k runs with
-seed ``--seed + k`` on both sides.
+Run it from the repository root of a clean working tree (untracked files
+aside): the head side is ``HEAD``.  The base commit and ``HEAD`` are each
+exported into a temporary directory with ``git archive``.  For each workload
+and pair, ``perfbench/run.py --workload W --seed S --seconds R`` then runs
+once from each side's root, the two sides taking turns at going first; R is
+``run_seconds`` of ``BENCHMARK.json``.  Pair k runs with seed ``--seed + k``
+on both sides.
 
 The output holds every run (its side, order, seed, correctness counts and
 metrics) and, per workload and end-to-end metric of ``BENCHMARK.json``,
@@ -105,31 +106,32 @@ def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="Commit to compare against.")
-    parser.add_argument("--head", help="Commit to measure (default: the working tree).")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=28)
     parser.add_argument("--out", required=True, help="Output path (BENCH_<n>.json).")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    if _git("status", "--porcelain", "--untracked-files=no"):
+        parser.error("the working tree has uncommitted changes; commit them first")
     root = Path(_git("rev-parse", "--show-toplevel"))
     spec = json.loads((root / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     base_rev = _git("rev-parse", args.base)
-    head_rev = _git("rev-parse", args.head) if args.head else None
+    head_rev = _git("rev-parse", "HEAD")
+    seconds = spec["run_seconds"]
     runs: list[dict] = []
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
-        sides = {"base": _export(base_rev, tmp / "base")}
-        sides["head"] = _export(head_rev, tmp / "head") if head_rev else root
+        sides = {"base": _export(base_rev, tmp / "base"),
+                 "head": _export(head_rev, tmp / "head")}
         for workload in args.workload:
             for pair in range(args.pairs):
                 seed = args.seed + pair
                 order = ("base", "head") if pair % 2 == 0 else ("head", "base")
                 for position, side in enumerate(order):
-                    result = _run(sides[side], workload, seed, args.seconds)
+                    result = _run(sides[side], workload, seed, seconds)
                     runs.append({
                         "workload": workload, "pair": pair, "side": side,
                         "first": position == 0, "seed": seed,
@@ -144,8 +146,8 @@ def main(argv: list[str] | None = None) -> int:
         shutil.rmtree(tmp, ignore_errors=True)
     record = {
         "base": base_rev,
-        "head": head_rev or f"working tree at {_git('rev-parse', 'HEAD')}",
-        "seconds": args.seconds,
+        "head": head_rev,
+        "seconds": seconds,
         "pairs": args.pairs,
         "machine": {
             "cpus": os.cpu_count(),
