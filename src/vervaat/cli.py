@@ -255,10 +255,10 @@ def _beta_option(f):
 def _seed_option(f):
     return click.option(
         "--seed",
-        type=int,
+        type=click.IntRange(-(2**63), 2**64 - 1),
         default=0,
         show_default=True,
-        help="Root seed (decimal 64-bit integer).",
+        help="Root seed (decimal 64-bit integer, taken mod 2^64).",
     )(f)
 
 

@@ -21,17 +21,19 @@ least x0^beta // 2 steps (x0^beta is the theorem's lower bound on E[T]) and
 at most 4096: the walk is a reflected (Lindley) random walk, so a chunk's
 states follow from a cumulative sum and minimum of its +-1 moves.  Where
 x0^beta < 128 (as at beta <= 2) it first takes 64 steps one at a time
-(``backward_extend``), so short walks touch no numpy.  ``sample_many`` advances
-batches one step per round on Philox blocks (uniform p is word p % 4 of
-block p // 4).  A sample that hits a zero, passes the lockstep depth or is
-among a batch's last few leaves after k steps as (k, D(-k)), its stream at
-2k + 1; ``run_ciaftp``'s path finishes its walk and rolls it forward to
-X(-k), and the lockstep applies steps k .. 1 with the rest.  Every value
-that decides the output is the per-step code's, because numpy's ``power``
-and ``log`` differ from libm's in the last bit for some inputs: powers
-U ** (1/beta) go through libm element by element (numpy's ``power`` only
-preselects coalescence candidates, with a 1e-9 margin), and so does the
-geometric start wherever numpy's log could round it differently.
+(``backward_extend``), so short walks touch no numpy.  ``sample_many``
+advances batches one step per round on Philox blocks (uniform p is word
+p % 4 of block p // 4).  A sample that hits a zero, passes the lockstep
+depth or is among a batch's last few leaves once, after k steps, as (k,
+D(-k)), its stream at 2k + 1 (k = 0 and a fresh start for a zero start, or
+a batch too small for lockstep); ``run_ciaftp``'s path finishes its walk
+and rolls it forward to X(-k), and the lockstep applies steps k .. 1 with
+the rest.  Every value that decides the output is the per-step code's,
+because numpy's ``power`` and ``log`` differ from libm's in the last bit
+for some inputs: powers U ** (1/beta) go through libm element by element
+(numpy's ``power`` only preselects coalescence candidates, with a 1e-9
+margin), and so does the geometric start wherever numpy's log could round
+it differently.
 """
 
 from __future__ import annotations
@@ -374,51 +376,44 @@ def _pow(u: np.ndarray, inv_beta: float) -> np.ndarray:
 def _sample_batch(params, stream, first, values, steps, d0s):
     """Fill the rows of substreams first, first + 1, ... in lockstep.
 
-    ``stream`` is the per-row path's stream, re-pointed at each row that
-    continues there, in row order.
+    ``stream`` is the per-row path's stream, re-pointed, in row order, at
+    each row that :func:`_backward` hands off.
     """
-    if values.size < _MIN_ACTIVE:
-        for r in range(values.size):
-            res = run_ciaftp(params, stream.restart(first + r))
-            values[r], steps[r], d0s[r] = res.value, res.steps, res.d0
-        return
     seed = stream.seed
     index = np.arange(values.size, dtype=np.uint64) + np.uint64(first)
-    hist, block, pos, handoff = _backward(params, seed, index, values, steps, d0s)
-    resumed = []
+    hist, block, loaded, pos, handoff = _backward(
+        params, seed, index, values, steps, d0s)
     for r, k, d in handoff:
         if d is None:
-            res = run_ciaftp(params, stream.restart(first + r))
-            d0s[r] = res.d0
+            d = d0s[r] = draw_initial_dominating(params, stream.restart(first + r))
         else:
             stream.seek(2 * k + 1, first + r)
-            res = _complete(params, BackwardPath([d]), stream, done=k)
-            resumed.append(r)
-            pos[r] = stream.position
-        values[r], steps[r] = res.value, res.steps
-    if resumed:
-        block[:, resumed] = philox_block(seed, index[resumed], (pos[resumed] - 1) // 4)
-    _forward(params, seed, index, hist, block, pos, values)
+        res = _complete(params, BackwardPath([d]), stream, done=k)
+        values[r], steps[r], pos[r] = res.value, res.steps, stream.position
+    _forward(params, seed, index, hist, block, loaded, pos, values)
 
 
 def _backward(params, seed, index, values, steps, d0s):
     """Backward phase of the rows of substreams ``index``, in lockstep.
 
     Writes each row's D(0) to ``d0s``, and T and X(-T+1) = W(-T)(2) of each
-    row that coalesces to ``steps`` and ``values``.  Returns ``(hist,
-    block, pos, handoff)``: per backward step k, ``hist[k - 1]`` holds (rows
-    taking it, W(-k)(1), coalesced), rows in ascending order; ``pos`` and
-    ``block`` are a coalesced row's next stream position and the Philox
-    block before it; ``handoff`` lists, in row order, (row, k, D(-k)) for
-    the rows left to the per-row path after k steps, their streams at
-    2k + 1, and (row, 0, None) for those whose geometric start drew a zero.
+    row that coalesces to ``steps`` and ``values``.  Returns ``(hist, block,
+    loaded, pos, handoff)``: ``hist[k - 1]`` holds (rows, W(-k)(1)) of the
+    rows that take step k forward, in ascending order; a coalesced row's
+    next stream position is ``pos``, and ``block`` holds its Philox block
+    number ``loaded`` (-1: none).  ``handoff`` lists, in row order, (row, k,
+    D(-k)) for the rows left to the per-row path after k steps, their
+    streams at 2k + 1, and (row, 0, None) for those to start there afresh:
+    all rows of a batch below :data:`_MIN_ACTIVE`, and those whose start
+    drew a zero.
     """
     m = index.size
     inv_beta = params.inv_beta
     floor = params.x0 - 1
     hist = []
-    pos = np.zeros(m, dtype=np.int64)
-    block = np.empty((4, m))
+    pos, loaded, block = np.zeros(m, np.int64), np.full(m, -1), np.empty((4, m))
+    if m < _MIN_ACTIVE:
+        return hist, block, loaded, pos, [(r, 0, None) for r in range(m)]
     blk = philox_block(seed, index, 0)
     zero = blk[0] == 0.0  # the geometric start redraws it: restart these rows
     handoff = [(r, 0, None) for r in np.flatnonzero(zero).tolist()]
@@ -447,43 +442,38 @@ def _backward(params, seed, index, values, steps, d0s):
         u_imp = np.where(d == d_new + 1, TWO_THIRDS + u / 3.0, TWO_THIRDS * u)
         w1 = _pow(u_imp, inv_beta)
         done = coupler_collapses(d_new, w1)
-        hist.append((rows, w1, done))
-        if done.any():
-            c = rows[done]  # W(-k)(2) is uniform 2k + 1, in the block of uniform 2k
-            steps[c], pos[c], block[:, c] = k, 2 * k + 2, blk[:, done]
-            values[c] = _pow(blk[(2 * k + 1) % 4, done], inv_beta)
-            going = ~done
-            rows, d, blk = rows[going], d_new[going], blk[:, going]
-        else:
-            d = d_new
+        c = rows[done]  # W(-k)(2) is uniform 2k + 1, in block k // 2 with uniform 2k
+        steps[c], pos[c], loaded[c], block[:, c] = k, 2 * k + 2, k // 2, blk[:, done]
+        values[c] = _pow(blk[(2 * k + 1) % 4, done], inv_beta)
+        going = ~done
+        rows, d, blk = rows[going], d_new[going], blk[:, going]
+        hist.append((rows, w1[going]))
     handoff.sort()
-    return hist, block, pos, handoff
+    return hist, block, loaded, pos, handoff
 
 
-def _forward(params, seed, index, hist, block, pos, x):
+def _forward(params, seed, index, hist, block, loaded, pos, x):
     """Forward steps of the rows in ``hist``, from the deepest step down.
 
     On entry ``x`` holds, for each row, the state its forward pass reached
     off the lockstep: X(-T+1) for a row that coalesced at T, X(-k) for one
-    the per-row path finished after a hand-off at k.  Step j applies to
-    every row of ``hist[j - 1]`` that did not coalesce there.  ``pos`` is
-    each row's next second-driver position, and ``block`` the Philox block
-    holding the uniform before it; a collapse refills it as it crosses
-    into the next block.
+    the per-row path finished after a hand-off at k.  ``pos`` is each row's
+    next second-driver position; a collapse loads block ``pos // 4`` into
+    ``block`` wherever ``loaded`` names another one.
     """
     inv_beta = params.inv_beta
-    for rows_k, w1_k, done_k in reversed(hist):
-        r, w1 = rows_k[~done_k], w1_k[~done_k]
+    for r, w1 in reversed(hist):
         xr = x[r]
         collapse = coupler_collapses(xr, w1)
         new = w1 * (1.0 + xr)
         if collapse.any():
             c = r[collapse]
             pc = pos[c]
-            refill = pc % 4 == 0
-            if refill.any():
-                cf = c[refill]
-                block[:, cf] = philox_block(seed, index[cf], pc[refill] // 4)
+            b = pc // 4
+            stale = loaded[c] != b
+            if stale.any():
+                cs, bs = c[stale], b[stale]
+                block[:, cs], loaded[cs] = philox_block(seed, index[cs], bs), bs
             new[collapse] = _pow(block[pc % 4, c], inv_beta)
             pos[c] = pc + 1
         x[r] = new

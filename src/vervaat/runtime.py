@@ -155,14 +155,21 @@ def absorption_bracket(params: VervaatParams, truncation: int) -> AbsorptionBrac
     the width is already dominated by the solver tolerance.
 
     The banded solve sees the absorption rate q only through
-    1 - p_up - p_down, so q is lost to cancellation once it nears 1e-16.
-    From beta ~ 5 the bracket no longer contains E T (at beta = 5 to 9 it
-    is still ordered, but wrong), and from beta ~ 10 it comes out inverted;
-    an inverted bracket raises ValueError.  A subtraction-free solve would
-    fix both.
+    1 - p_up - p_down, so its relative error grows like x0^beta * 2^-52
+    and, from beta ~ 3.25, passes the pad: the bracket then misses E T
+    (and comes out inverted from beta ~ 10).  So it raises ValueError
+    wherever x0^beta * 2^-52 exceeds the pad, from beta just above 3.  A
+    subtraction-free solve would lift that limit.
     """
     if truncation < 2:
         raise ValueError(f"truncation must be >= 2, got {truncation}")
+    closed = theorem_bounds(params)  # raises first for beta past its cap
+    if closed.lower * 2.0**-52 > _SOLVER_TOL:
+        raise ValueError(
+            f"beta={params.beta:g}: the absorption solve loses q = (d + 1)^-beta "
+            f"to cancellation: its rounding, x0^beta * 2^-52 ~ "
+            f"{closed.lower * 2.0**-52:.3g}, exceeds the {_SOLVER_TOL:g} pad"
+        )
     q, p_up, p_down = absorption_probabilities(params, truncation)
     top_plus_1 = params.x0 - 1 + truncation + 1
 
@@ -182,14 +189,7 @@ def absorption_bracket(params: VervaatParams, truncation: int) -> AbsorptionBrac
     # The closed-form bounds hold unconditionally, so intersecting with
     # them only tightens the bracket (visible at small truncations, where
     # the zero-boundary solve undershoots the closed-form lower bound).
-    closed = theorem_bounds(params)
     lower, upper = max(lower - pad, closed.lower), min(upper + pad, closed.upper)
-    if not lower <= upper:
-        raise ValueError(
-            f"beta={params.beta:g}: the absorption solve lost q = (d + 1)^-beta "
-            f"to cancellation and gave an inverted bracket "
-            f"[{lower:.6g}, {upper:.6g}]"
-        )
     return AbsorptionBracket(lower=lower, upper=upper, truncation=truncation)
 
 

@@ -376,6 +376,8 @@ class TestNoTraceback:
             (("validate", "--beta", "1e17", "--n", "10000"), 2, "maximum 1000"),
             (("sample", "--beta", "1", "--n", "100000000000000"), 2, "1<=x<=100000000"),
             (("analyze", "--beta", "20"), 2, "cancellation"),
+            (("sample", "--beta", "1", "--n", "1", "--seed", str(2**64)), 2, "--seed"),
+            (("sample", "--beta", "1", "--n", "1", "--seed", str(-(2**63) - 1)), 2, "--seed"),
         ],
     )
     def test_extreme_cases(self, args, code, says):

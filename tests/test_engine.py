@@ -20,6 +20,7 @@ from vervaat import (
 )
 
 import vervaat.engine as engine_mod
+from vervaat.streams import philox_block
 from vervaat.updates import TWO_THIRDS, coupler_collapses
 from conftest import ScriptedStream, audit_path
 
@@ -212,6 +213,30 @@ def assert_same_rows(got, want):
         assert np.array_equal(g, w)
 
 
+def zeroed(zeros):
+    """A UniformStream type and a philox_block whose uniforms at the
+    (index, position) pairs in ``zeros`` read 0."""
+
+    class ZeroedStream(UniformStream):
+        __slots__ = ()
+
+        def next_uniform(self):
+            key = (self.index, self.position)
+            u = super().next_uniform()
+            return 0.0 if key in zeros else u
+
+    def zeroed_block(seed_, index, block):
+        out = philox_block(seed_, index, block)
+        blocks = np.broadcast_to(block, np.shape(index)).tolist()
+        for col, (i, b) in enumerate(zip(np.asarray(index).tolist(), blocks)):
+            for word in range(4):
+                if (i, 4 * b + word) in zeros:
+                    out[word, col] = 0.0
+        return out
+
+    return ZeroedStream, zeroed_block
+
+
 class TestBatchedEngine:
     """sample_many advances rows in numpy lockstep; every row must still be
     bit for bit what run_ciaftp draws on its substream."""
@@ -261,25 +286,7 @@ class TestBatchedEngine:
         _, steps, _ = per_row(dickman, n, seed)
         zeros = {(3, 0), (5, 2), (8, 4), (9, 1), (11, 2 * int(steps[11]) + 1)}
 
-        class ZeroedStream(UniformStream):
-            __slots__ = ()
-
-            def next_uniform(self):
-                key = (self.index, self.position)
-                u = super().next_uniform()
-                return 0.0 if key in zeros else u
-
-        real_block = engine_mod.philox_block
-
-        def zeroed_block(seed_, index, block):
-            out = real_block(seed_, index, block)
-            blocks = np.broadcast_to(block, np.shape(index)).tolist()
-            for col, (i, b) in enumerate(zip(np.asarray(index).tolist(), blocks)):
-                for word in range(4):
-                    if (i, 4 * b + word) in zeros:
-                        out[word, col] = 0.0
-            return out
-
+        ZeroedStream, zeroed_block = zeroed(zeros)
         resumed = set()
         complete = engine_mod._complete
 
@@ -385,6 +392,39 @@ class TestHandOff:
             assert events[i][:k] == [1] * k
             assert batched.get(i, []) == events[i][k:], i
         assert any(("chunk", 64) in events[i] for i in resumed)
+
+
+    @pytest.mark.parametrize("offset", [-1, 0])
+    def test_at_the_real_active_floor(self, dickman, offset):
+        n = engine_mod._MIN_ACTIVE + offset
+        assert_same_rows(sample_many(dickman, n, 63), per_row(dickman, n, 63))
+
+    def test_a_small_batch_draws_no_philox_block(self, dickman, monkeypatch):
+        # the whole batch leaves before any block is computed, so short runs
+        # such as `sample --n 10` pay nothing for the lockstep
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return philox_block(*args)
+
+        monkeypatch.setattr(engine_mod, "philox_block", spy)
+        n = engine_mod._MIN_ACTIVE - 1
+        got = sample_many(dickman, n, 64)
+        assert not calls
+        sample_many(dickman, n + 1, 64)
+        assert calls
+        assert_same_rows(got, per_row(dickman, n, 64))
+
+    def test_a_small_batch_with_a_zero_start(self, dickman, monkeypatch):
+        n, seed = 20, 65
+        ZeroedStream, zeroed_block = zeroed({(4, 0)})
+        want = per_row(dickman, n, seed, stream_type=ZeroedStream)
+        monkeypatch.setattr(engine_mod, "UniformStream", ZeroedStream)
+        monkeypatch.setattr(engine_mod, "philox_block", zeroed_block)
+        got = sample_many(dickman, n, seed)
+        assert_same_rows(got, want)
+        assert got[0][4] != per_row(dickman, n, seed)[0][4]
 
 
 def stepwise(params, stream):

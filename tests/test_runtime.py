@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -18,6 +19,34 @@ from conftest import expansion_check
 # E T for beta = 1 computed independently at 50-digit precision from the
 # truncated absorbing chain (truncations 100 and 200 agree to 25 digits).
 EXACT_ET_DICKMAN = 6.079126903314678261472165
+
+
+def decimal_hitting_bounds(beta, truncation, digits=60):
+    """The two solves of absorption_bracket in ``digits``-digit decimal:
+    E T of the truncated chain with boundary 0, and with the
+    supermartingale cap plus the closed-form tail.  E T lies between them."""
+    x0 = make_params(beta).x0
+    with localcontext() as ctx:
+        ctx.prec = digits
+        b, third = Decimal(repr(beta)), Decimal(1) / 3
+        coeffs, a, g = [], Decimal(0), Decimal(1)  # h(-1) = h(0): hold at the floor
+        for j in range(truncation + 1):  # h(j) = a(j) + g(j) h(j + 1)
+            q = Decimal(x0 + j) ** -b
+            p_up, p_down = min(1 - q, third), max(2 * third - q, Decimal(0))
+            pivot = 1 - p_down * g
+            a, g = (1 + p_down * a) / pivot, p_up / pivot
+            coeffs.append((a, g))
+
+        def mean(boundary):
+            h, total = boundary, Decimal(0)
+            for j in reversed(range(truncation + 1)):
+                h = coeffs[j][0] + coeffs[j][1] * h
+                total += h / 2 ** (j + 1)
+            return total
+
+        top = Decimal(x0 + 1) ** b
+        tail = (3 * (truncation + 2) + 2 * top) / Decimal(2) ** (truncation + 1)
+        return mean(Decimal(0)), mean(3 * (truncation + 1) + 2 * top) + tail
 
 
 class TestTheoremBounds:
@@ -119,6 +148,19 @@ class TestAbsorptionBracket:
         se = steps.std() / math.sqrt(steps.size)
         b = absorption_bracket(make_params(1.0), 400)
         assert b.lower - 4 * se <= mean <= b.upper + 4 * se
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
+    def test_contains_the_60_digit_solve(self, beta):
+        low, high = decimal_hitting_bounds(beta, 400)
+        b = absorption_bracket(make_params(beta), 400)
+        assert Decimal(b.lower) <= low <= high <= Decimal(b.upper)
+
+    @pytest.mark.parametrize("beta", [3.5, 4.0])
+    def test_rounding_past_the_pad_raises(self, beta):
+        # x0^beta * 2^-52 is 5.5e-12 and 3.6e-11 here: the float solve's
+        # bracket would miss the 60-digit value
+        with pytest.raises(ValueError, match="cancellation"):
+            absorption_bracket(make_params(beta), 400)
 
     def test_truncation_too_small(self):
         with pytest.raises(ValueError):

@@ -84,10 +84,11 @@ def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
         both = [p for p in pairs.values() if len(p) == 2]
         out[workload] = {}
         for name, better in metrics.items():
-            base = [p["base"][name] for p in both if p["base"].get(name) is not None]
-            head = [p["head"][name] for p in both if p["head"].get(name) is not None]
-            if not base or len(base) != len(head):
+            kept = [(p["base"].get(name), p["head"].get(name)) for p in both]
+            kept = [(x, y) for x, y in kept if x is not None and y is not None]
+            if not kept:
                 continue
+            base, head = map(list, zip(*kept))
             sign = 1 if better == "higher" else -1
             b, h = _spread(base), _spread(head)
             gain = sign * (h["median"] - b["median"])
