@@ -164,11 +164,12 @@ def absorption_bracket(params: VervaatParams, truncation: int) -> AbsorptionBrac
     if truncation < 2:
         raise ValueError(f"truncation must be >= 2, got {truncation}")
     closed = theorem_bounds(params)  # raises first for beta past its cap
-    if closed.lower * 2.0**-52 > _SOLVER_TOL:
+    rounding = closed.lower * 2.0**-52
+    if rounding > _SOLVER_TOL:
         raise ValueError(
             f"beta={params.beta:g}: the absorption solve loses q = (d + 1)^-beta "
-            f"to cancellation: its rounding, x0^beta * 2^-52 ~ "
-            f"{closed.lower * 2.0**-52:.3g}, exceeds the {_SOLVER_TOL:g} pad"
+            f"to cancellation: its rounding, x0^beta * 2^-52 ~ {rounding:.3g}, "
+            f"exceeds the {_SOLVER_TOL:g} pad"
         )
     q, p_up, p_down = absorption_probabilities(params, truncation)
     top_plus_1 = params.x0 - 1 + truncation + 1

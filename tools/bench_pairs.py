@@ -88,7 +88,7 @@ def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
             kept = [(x, y) for x, y in kept if x is not None and y is not None]
             if not kept:
                 continue
-            base, head = map(list, zip(*kept))
+            base, head = zip(*kept)
             sign = 1 if better == "higher" else -1
             b, h = _spread(base), _spread(head)
             gain = sign * (h["median"] - b["median"])
