@@ -23,6 +23,7 @@ formatted by ``%`` and stored over their numpy cells.
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 import click
@@ -35,7 +36,7 @@ from .streams import UniformStream
 from .updates import make_params
 
 _BUDGET_EXIT = 3
-#: CSV rows formatted per write, so no full list of lines is ever built.
+#: Rows formatted per write, so no full list of lines is ever built.
 _CSV_ROWS = 8192
 #: Fewest rows that the numpy writer formats.  Its fixed cost, about 0.16 ms
 #: per chunk, is what ``%`` takes for about 150-200 rows at 1.1 us per row.
@@ -46,8 +47,8 @@ _MAX_TRUNCATION = 10_000
 #: Largest ``sample --n``: a run holds about 24 bytes per row, so about
 #: 2.4 GB at this size.
 _MAX_SAMPLE_N = 10**8
-#: Largest ``validate --n``: a run holds about 125 bytes per row, so about
-#: 1.3 GB at this size.
+#: Largest ``validate --n``: a run holds about 70 bytes per row, so about
+#: 0.7 GB at this size.
 _MAX_VALIDATE_N = 10**7
 #: Largest ``validate --depth``, explicit or the default ``oracle_depth``: a
 #: series block holds 16384 rows of this many doubles, a few times over.
@@ -231,10 +232,40 @@ def _csv_rows(first: int, values, steps, d0s) -> str:
     return mat.tobytes().translate(None, b"\0").decode("ascii")
 
 
+def _json_rows(first: int, values, steps, d0s) -> str:
+    """The objects of rows first, first + 1, ... as ``json.dumps(rows,
+    indent=2)`` writes them, without the list's brackets."""
+    rows = [{"index": i, "y_value": v, "steps": s, "d0": d} for i, v, s, d in zip(
+        range(first, first + len(values)), values.tolist(), steps.tolist(), d0s.tolist())]
+    return json.dumps(rows, indent=2)[2:-2]
+
+
+def _check_out(ctx, param, out):
+    """``out``, unless it names a file that cannot be written: that is a
+    usage error before any work, and nothing is created or truncated."""
+    if out == "-":
+        return out
+    path = os.path.abspath(out)
+    parent = os.path.dirname(path)
+    if not os.path.isdir(parent):
+        why = f"no directory {parent!r}"
+    elif os.path.isdir(path):
+        why = "it is a directory"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        why = "permission denied"
+    else:
+        return out
+    raise click.BadParameter(f"cannot write {out!r}: {why}", ctx, param)
+
+
 def _open_out(out):
     if out == "-":
         return sys.stdout, False
-    return open(out, "w", encoding="utf-8", newline=""), True
+    try:
+        return open(out, "w", encoding="utf-8", newline=""), True
+    except OSError as exc:  # passed _check_out, but the open itself failed
+        raise click.BadParameter(f"cannot write {out!r}: {exc.strerror}",
+                                 param_hint="'--out'")
 
 
 def _emit(out, text):
@@ -267,6 +298,7 @@ def _out_option(f):
         "--out",
         default="-",
         show_default=True,
+        callback=_check_out,
         help="Output path, or - for standard output.",
     )(f)
 
@@ -309,21 +341,19 @@ def sample(beta, n, seed, fmt, out):
     except StepBudgetError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(_BUDGET_EXIT)
-    if fmt == "json":
-        payload = [
-            {"index": i, "y_value": v, "steps": s, "d0": d}
-            for i, (v, s, d) in enumerate(
-                zip(values.tolist(), steps.tolist(), d0s.tolist())
-            )
-        ]
-        _emit(out, json.dumps(payload, indent=2) + "\n")
-        return
+    # JSON in chunks too: byte for byte json.dumps(rows, indent=2) + "\n"
+    head, tail = ("[\n", "\n]\n") if fmt == "json" else ("index,y_value,steps,d0\n", "")
     fh, close = _open_out(out)
     try:
-        fh.write("index,y_value,steps,d0\n")
+        fh.write(head)
         for lo in range(0, n, _CSV_ROWS):
             hi = min(lo + _CSV_ROWS, n)
-            fh.write(_csv_rows(lo, values[lo:hi], steps[lo:hi], d0s[lo:hi]))
+            chunk = (lo, values[lo:hi], steps[lo:hi], d0s[lo:hi])
+            if fmt == "json":
+                fh.write((",\n" if lo else "") + _json_rows(*chunk))
+            else:
+                fh.write(_csv_rows(*chunk))
+        fh.write(tail)
     finally:
         if close:
             fh.close()

@@ -22,18 +22,15 @@ at most 4096: the walk is a reflected (Lindley) random walk, so a chunk's
 states follow from a cumulative sum and minimum of its +-1 moves.  Where
 x0^beta < 128 (as at beta <= 2) it first takes 64 steps one at a time
 (``backward_extend``), so short walks touch no numpy.  ``sample_many``
-advances batches one step per round on Philox blocks (uniform p is word
-p % 4 of block p // 4).  A sample that hits a zero, passes the lockstep
-depth or is among a batch's last few leaves once, after k steps, as (k,
-D(-k)), its stream at 2k + 1 (k = 0 and a fresh start for a zero start, or
-a batch too small for lockstep); ``run_ciaftp``'s path finishes its walk
-and rolls it forward to X(-k), and the lockstep applies steps k .. 1 with
-the rest.  Every value that decides the output is the per-step code's,
-because numpy's ``power`` and ``log`` differ from libm's in the last bit
-for some inputs: powers U ** (1/beta) go through libm element by element
-(numpy's ``power`` only preselects coalescence candidates, with a 1e-9
-margin), and so does the geometric start wherever numpy's log could round
-it differently.
+advances batches one step per round, reading uniforms through a
+``BlockCache``; a row that leaves the lockstep after k steps finishes its
+walk on ``run_ciaftp``'s path, which rolls it forward to X(-k), and the
+lockstep applies steps k .. 1 (see ``_backward``).  Every value that
+decides the output is the per-step code's, because numpy's ``power`` and
+``log`` differ from libm's in the last bit for some inputs: powers
+U ** (1/beta) go through libm element by element (numpy's ``power`` only
+preselects coalescence candidates, with a 1e-9 margin), and so does the
+geometric start wherever numpy's log could round it differently.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .streams import UniformStream, _geometric_array, geometric_half, philox_block
+from .streams import BlockCache, UniformStream, _geometric_array, geometric_half
 from .updates import TWO_THIRDS, VervaatParams, _power, coupler_collapses
 
 __all__ = [
@@ -374,15 +371,11 @@ def _pow(u: np.ndarray, inv_beta: float) -> np.ndarray:
 
 
 def _sample_batch(params, stream, first, values, steps, d0s):
-    """Fill the rows of substreams first, first + 1, ... in lockstep.
-
-    ``stream`` is the per-row path's stream, re-pointed, in row order, at
-    each row that :func:`_backward` hands off.
-    """
-    seed = stream.seed
+    """Fill the rows of substreams first, first + 1, ... in lockstep, with
+    ``stream`` re-pointed, in row order, at each row handed off."""
     index = np.arange(values.size, dtype=np.uint64) + np.uint64(first)
-    hist, block, loaded, pos, handoff = _backward(
-        params, seed, index, values, steps, d0s)
+    blocks = BlockCache(stream.seed, index)
+    hist, pos, handoff = _backward(params, blocks, values, steps, d0s)
     for r, k, d in handoff:
         if d is None:
             d = d0s[r] = draw_initial_dominating(params, stream.restart(first + r))
@@ -390,37 +383,32 @@ def _sample_batch(params, stream, first, values, steps, d0s):
             stream.seek(2 * k + 1, first + r)
         res = _complete(params, BackwardPath([d]), stream, done=k)
         values[r], steps[r], pos[r] = res.value, res.steps, stream.position
-    _forward(params, seed, index, hist, block, loaded, pos, values)
+    _forward(params, blocks, hist, pos, values)
 
 
-def _backward(params, seed, index, values, steps, d0s):
-    """Backward phase of the rows of substreams ``index``, in lockstep.
+def _backward(params, blocks, values, steps, d0s):
+    """Backward phase of the rows of ``blocks``' substreams, in lockstep.
 
     Writes each row's D(0) to ``d0s``, and T and X(-T+1) = W(-T)(2) of each
-    row that coalesces to ``steps`` and ``values``.  Returns ``(hist, block,
-    loaded, pos, handoff)``: ``hist[k - 1]`` holds (rows, W(-k)(1)) of the
-    rows that take step k forward, in ascending order; a coalesced row's
-    next stream position is ``pos``, and ``block`` holds its Philox block
-    number ``loaded`` (-1: none).  ``handoff`` lists, in row order, (row, k,
-    D(-k)) for the rows left to the per-row path after k steps, their
-    streams at 2k + 1, and (row, 0, None) for those to start there afresh:
-    all rows of a batch below :data:`_MIN_ACTIVE`, and those whose start
-    drew a zero.
+    row that coalesces to ``steps`` and ``values``.  Returns ``(hist, pos,
+    handoff)``: ``hist[k - 1]`` holds (rows, W(-k)(1)) of the rows that take
+    step k forward, in ascending order, and ``pos`` a coalesced row's next
+    stream position.  ``handoff`` lists, in row order, (row, k, D(-k)) for
+    the rows left to the per-row path after k steps, their streams at
+    2k + 1, and (row, 0, None) for those to start there afresh: all rows of
+    a batch below :data:`_MIN_ACTIVE`, and those whose start drew a zero.
     """
-    m = index.size
+    m = values.size
     inv_beta = params.inv_beta
-    floor = params.x0 - 1
-    hist = []
-    pos, loaded, block = np.zeros(m, np.int64), np.full(m, -1), np.empty((4, m))
+    hist, pos = [], np.zeros(m, np.int64)
     if m < _MIN_ACTIVE:
-        return hist, block, loaded, pos, [(r, 0, None) for r in range(m)]
-    blk = philox_block(seed, index, 0)
-    zero = blk[0] == 0.0  # the geometric start redraws it: restart these rows
+        return hist, pos, [(r, 0, None) for r in range(m)]
+    u = blocks.take(np.arange(m), 0)
+    zero = u == 0.0  # the geometric start redraws it: restart these rows
     handoff = [(r, 0, None) for r in np.flatnonzero(zero).tolist()]
-    d0s[:] = params.x0 - 2 + _geometric_array(np.where(zero, 0.5, blk[0]))
+    d0s[:] = params.x0 - 2 + _geometric_array(np.where(zero, 0.5, u))
     rows = np.flatnonzero(~zero)
     d = d0s[rows]
-    blk = blk[:, rows]
     depth = min(_LOCKSTEP_DEPTH, params.step_budget)
     k = 0
     while rows.size:
@@ -428,39 +416,31 @@ def _backward(params, seed, index, values, steps, d0s):
             handoff += zip(rows.tolist(), repeat(k), d.tolist())
             break
         k += 1
-        u_dir = blk[(2 * k - 1) % 4]
-        if k % 2 == 0:
-            blk = philox_block(seed, index[rows], k // 2)
-        u = blk[(2 * k) % 4]
+        u_dir, u = blocks.take(rows, 2 * k - 1), blocks.take(rows, 2 * k)
         zero = u == 0.0  # the imputation redraws it: step k runs on the per-row path
         if zero.any():
             handoff += zip(rows[zero].tolist(), repeat(k - 1), d[zero].tolist())
             keep = ~zero
             rows, d, u_dir, u = rows[keep], d[keep], u_dir[keep], u[keep]
-            blk = blk[:, keep]
-        d_new = np.where(u_dir > TWO_THIRDS, d + 1, np.maximum(d - 1, floor))
+        d_new = np.where(u_dir > TWO_THIRDS, d + 1, np.maximum(d - 1, params.x0 - 1))
         u_imp = np.where(d == d_new + 1, TWO_THIRDS + u / 3.0, TWO_THIRDS * u)
         w1 = _pow(u_imp, inv_beta)
         done = coupler_collapses(d_new, w1)
-        c = rows[done]  # W(-k)(2) is uniform 2k + 1, in block k // 2 with uniform 2k
-        steps[c], pos[c], loaded[c], block[:, c] = k, 2 * k + 2, k // 2, blk[:, done]
-        values[c] = _pow(blk[(2 * k + 1) % 4, done], inv_beta)
+        c = rows[done]
+        steps[c], pos[c] = k, 2 * k + 2
+        values[c] = _pow(blocks.take(c, 2 * k + 1), inv_beta)
         going = ~done
-        rows, d, blk = rows[going], d_new[going], blk[:, going]
+        rows, d = rows[going], d_new[going]
         hist.append((rows, w1[going]))
     handoff.sort()
-    return hist, block, loaded, pos, handoff
+    return hist, pos, handoff
 
 
-def _forward(params, seed, index, hist, block, loaded, pos, x):
-    """Forward steps of the rows in ``hist``, from the deepest step down.
-
-    On entry ``x`` holds, for each row, the state its forward pass reached
-    off the lockstep: X(-T+1) for a row that coalesced at T, X(-k) for one
-    the per-row path finished after a hand-off at k.  ``pos`` is each row's
-    next second-driver position; a collapse loads block ``pos // 4`` into
-    ``block`` wherever ``loaded`` names another one.
-    """
+def _forward(params, blocks, hist, pos, x):
+    """Forward steps of the rows in ``hist``, from the deepest step down,
+    from the states in ``x``: X(-T+1) for a row that coalesced at T, X(-k)
+    for one the per-row path finished after a hand-off at k.  A collapse
+    takes the row's second driver from ``blocks`` at ``pos``, and advances it."""
     inv_beta = params.inv_beta
     for r, w1 in reversed(hist):
         xr = x[r]
@@ -468,12 +448,6 @@ def _forward(params, seed, index, hist, block, loaded, pos, x):
         new = w1 * (1.0 + xr)
         if collapse.any():
             c = r[collapse]
-            pc = pos[c]
-            b = pc // 4
-            stale = loaded[c] != b
-            if stale.any():
-                cs, bs = c[stale], b[stale]
-                block[:, cs], loaded[cs] = philox_block(seed, index[cs], bs), bs
-            new[collapse] = _pow(block[pc % 4, c], inv_beta)
-            pos[c] = pc + 1
+            new[collapse] = _pow(blocks.take(c, pos[c]), inv_beta)
+            pos[c] += 1
         x[r] = new

@@ -239,3 +239,28 @@ def philox_block(seed: int, index, block) -> np.ndarray:
         out[row] = x >> _SHIFT11
     out *= _TWO_M53
     return out
+
+
+class BlockCache:
+    """Uniforms of substreams ``(seed, index[r])`` at per-row positions,
+    holding one block per row: a row's :func:`philox_block` is computed only
+    when its position leaves the block it holds."""
+
+    __slots__ = ("seed", "index", "_held", "_words")
+
+    def __init__(self, seed: int, index: np.ndarray):
+        self.seed = seed
+        self.index = index
+        self._held = np.full(index.size, -1)
+        self._words = np.empty((4, index.size))
+
+    def take(self, rows: np.ndarray, pos) -> np.ndarray:
+        """Uniform ``pos`` of each row in ``rows`` (``pos`` a scalar, or an
+        array shaped like ``rows``)."""
+        block, word = np.divmod(pos, 4)
+        stale = self._held[rows] != block
+        if stale.any():
+            s, b = rows[stale], block[stale] if np.ndim(block) else block
+            self._words[:, s] = philox_block(self.seed, self.index[s], b)
+            self._held[s] = b
+        return self._words[word, rows]

@@ -1,5 +1,7 @@
 """``tools/bench_pairs.summarize`` on hand-made runs; no subprocess starts."""
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -51,3 +53,18 @@ def test_lower_is_better(summarize):
 def test_a_metric_no_pair_has_on_both_sides_is_left_out(summarize):
     out = summarize(runs([(None, 1.0), (1.0, None)]), {"samples_per_s": "higher"})
     assert out == {"w": {}}
+
+
+def test_runs_write_bytecode_whatever_the_caller_set(summarize, monkeypatch):
+    bench_pairs = sys.modules[summarize.__module__]
+    seen = {}
+
+    def fake_run(cmd, **kwargs):
+        seen.update(kwargs)
+        return subprocess.CompletedProcess(cmd, 0, stdout='{"correct": 1}\n', stderr="")
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs._run(ROOT, "dickman", 1, 1) == {"correct": 1}
+    assert "PYTHONDONTWRITEBYTECODE" not in seen["env"]
+    assert seen["env"]["PATH"] == os.environ["PATH"]

@@ -10,6 +10,8 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import vervaat.cli as cli_mod
+from vervaat import make_params, sample_many
 from vervaat.cli import _CSV_NUMPY_MIN, _CSV_ROWS, _csv_rows, _value_digits, main
 
 
@@ -51,6 +53,16 @@ class TestSample:
         payload = json.loads(r.output)
         validate_schema(payload, schema)
         assert [row["index"] for row in payload] == [0, 1, 2, 3]
+
+    def test_json_in_chunks_is_one_dump(self):
+        n = _CSV_ROWS + 1
+        r = run("sample", "--beta", "1", "--n", str(n), "--seed", "4", "--format", "json")
+        values, steps, d0s = sample_many(make_params(1.0), n, 4)
+        rows = [
+            {"index": i, "y_value": v, "steps": s, "d0": d}
+            for i, (v, s, d) in enumerate(zip(values.tolist(), steps.tolist(), d0s.tolist()))
+        ]
+        assert r.output == json.dumps(rows, indent=2) + "\n"
 
     def test_out_file(self, tmp_path):
         target = tmp_path / "rows.csv"
@@ -99,6 +111,46 @@ class TestSample:
         # the default budget long before coalescing
         r = CliRunner().invoke(main, ["sample", "--beta", "6", "--n", "1", "--seed", "0"])
         assert r.exit_code == 3
+
+
+class TestOut:
+    """An --out that cannot be written exits 2, naming it, before any work;
+    a budget abort leaves an existing one untouched."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("sample", "--beta", "1"),
+            ("analyze", "--beta", "1"),
+            ("validate", "--beta", "1", "--n", "10000"),
+            ("trace", "--beta", "1"),
+        ],
+    )
+    def test_unwritable_out_exits_2(self, args, tmp_path):
+        missing = tmp_path / "missing" / "x.out"
+        r = run_cleanly(*args, "--out", str(missing))
+        assert r.exit_code == 2 and f"cannot write '{missing}'" in r.output
+        assert not missing.parent.exists()
+        r = run_cleanly(*args, "--out", str(tmp_path))
+        assert r.exit_code == 2 and "it is a directory" in r.output
+
+    def test_a_failed_open_exits_2(self, tmp_path, monkeypatch):
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(cli_mod, "open", refuse, raising=False)
+        target = tmp_path / "x.out"
+        r = run_cleanly("analyze", "--beta", "1", "--out", str(target))
+        assert r.exit_code == 2
+        assert f"cannot write '{target}': Permission denied" in r.output
+
+    @pytest.mark.filterwarnings("ignore::vervaat.StepBudgetWarning")
+    @pytest.mark.parametrize("command", ["sample", "trace"])
+    def test_budget_abort_leaves_out_untouched(self, command, tmp_path):
+        target = tmp_path / "x.out"
+        target.write_text("kept\n")
+        r = run_cleanly(command, "--beta", "6", "--out", str(target))
+        assert r.exit_code == 3 and target.read_text() == "kept\n"
 
 
 class TestAnalyze:

@@ -20,6 +20,7 @@ from vervaat import (
 )
 
 import vervaat.engine as engine_mod
+import vervaat.streams as streams_mod
 from vervaat.streams import philox_block
 from vervaat.updates import TWO_THIRDS, coupler_collapses
 from conftest import ScriptedStream, audit_path
@@ -296,7 +297,7 @@ class TestBatchedEngine:
 
         want = per_row(dickman, n, seed, stream_type=ZeroedStream)
         monkeypatch.setattr(engine_mod, "UniformStream", ZeroedStream)
-        monkeypatch.setattr(engine_mod, "philox_block", zeroed_block)
+        monkeypatch.setattr(streams_mod, "philox_block", zeroed_block)
         monkeypatch.setattr(engine_mod, "_complete", spy)
         got = sample_many(dickman, n, seed)
         assert_same_rows(got, want)
@@ -408,7 +409,7 @@ class TestHandOff:
             calls.append(args)
             return philox_block(*args)
 
-        monkeypatch.setattr(engine_mod, "philox_block", spy)
+        monkeypatch.setattr(streams_mod, "philox_block", spy)
         n = engine_mod._MIN_ACTIVE - 1
         got = sample_many(dickman, n, 64)
         assert not calls
@@ -421,7 +422,7 @@ class TestHandOff:
         ZeroedStream, zeroed_block = zeroed({(4, 0)})
         want = per_row(dickman, n, seed, stream_type=ZeroedStream)
         monkeypatch.setattr(engine_mod, "UniformStream", ZeroedStream)
-        monkeypatch.setattr(engine_mod, "philox_block", zeroed_block)
+        monkeypatch.setattr(streams_mod, "philox_block", zeroed_block)
         got = sample_many(dickman, n, seed)
         assert_same_rows(got, want)
         assert got[0][4] != per_row(dickman, n, seed)[0][4]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from vervaat import UniformStream, geometric_half
-from vervaat.streams import philox_block
+import vervaat.streams as streams_mod
+from vervaat.streams import BlockCache, philox_block
 
 from conftest import ScriptedStream
 
@@ -137,6 +138,40 @@ def test_philox_block_per_row_block_numbers():
     for i, b in zip(indices.tolist(), blocks.tolist()):
         ref = UniformStream(5, i).uniforms(4 * b + 4)[4 * b :]
         assert np.array_equal(got[:, i], ref)
+
+
+@pytest.mark.parametrize("seed", [5, 2**64 - 1])
+def test_block_cache_take_matches_uniform_stream(seed):
+    index = np.array([0, 3, 1 << 62, 2**64 - 1], dtype=np.uint64)
+    ref = np.array([UniformStream(seed, int(i)).uniforms(40) for i in index])
+    cache = BlockCache(seed, index)
+    rows = np.arange(index.size)
+    for pos in (0, 3, 4, 7, 8, 2, 13, 39, 17):  # across blocks, and back
+        assert np.array_equal(cache.take(rows, pos), ref[:, pos])
+    sub = np.array([3, 1])
+    for pos in ([4, 0], [5, 5], [38, 9], [39, 35]):
+        assert np.array_equal(cache.take(sub, np.array(pos)), ref[sub, pos])
+    assert cache.take(rows[:0], 12).size == 0
+
+
+def test_block_cache_loads_a_block_only_when_a_row_leaves_it(monkeypatch):
+    loads = []
+
+    def spy(seed, index, block):
+        loads.append((index.tolist(), np.asarray(block).tolist()))
+        return philox_block(seed, index, block)
+
+    monkeypatch.setattr(streams_mod, "philox_block", spy)
+    cache = BlockCache(9, np.arange(4, dtype=np.uint64))
+    rows = np.arange(4)
+    for pos in range(8):
+        cache.take(rows, pos)
+    assert loads == [([0, 1, 2, 3], 0), ([0, 1, 2, 3], 1)]
+    loads.clear()
+    cache.take(rows, np.array([4, 7, 8, 1]))  # rows 2 and 3 leave block 1
+    cache.take(rows[2:], np.array([11, 1]))  # both now hold their block
+    cache.take(rows[:1], 6)
+    assert loads == [([2, 3], [2, 0])]
 
 
 def test_seeds_above_2_63_are_not_rounded():

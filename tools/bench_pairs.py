@@ -9,7 +9,10 @@ exported into a temporary directory with ``git archive``.  For each workload
 and pair, ``perfbench/run.py --workload W --seed S --seconds R`` then runs
 once from each side's root, the two sides taking turns at going first; R is
 ``run_seconds`` of ``BENCHMARK.json``.  Pair k runs with seed ``--seed + k``
-on both sides.
+on both sides.  The runs inherit the caller's environment except
+``PYTHONDONTWRITEBYTECODE``, which is removed: both sides then write and
+reuse their bytecode alike, and a caller's setting cannot add source
+compilation to one side's ``setup_s`` or ``peak_rss_mb``.
 
 The output holds every run (its side, order, seed, correctness counts and
 metrics) and, per workload and end-to-end metric of ``BENCHMARK.json``,
@@ -53,10 +56,11 @@ def _export(rev: str, into: Path) -> Path:
 
 def _run(root: Path, workload: str, seed: int, seconds: int) -> dict:
     """One ``perfbench/run.py`` run from ``root``: its result line."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=root, capture_output=True, text=True,
+        cwd=root, env=env, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
