@@ -235,8 +235,9 @@ def _csv_rows(first: int, values, steps, d0s) -> str:
 def _json_rows(first: int, values, steps, d0s) -> str:
     """The objects of rows first, first + 1, ... as ``json.dumps(rows,
     indent=2)`` writes them, without the list's brackets."""
-    rows = [{"index": i, "y_value": v, "steps": s, "d0": d} for i, v, s, d in zip(
-        range(first, first + len(values)), values.tolist(), steps.tolist(), d0s.tolist())]
+    index = range(first, first + len(values))
+    rows = [{"index": i, "y_value": v, "steps": s, "d0": d}
+            for i, v, s, d in zip(index, values.tolist(), steps.tolist(), d0s.tolist())]
     return json.dumps(rows, indent=2)[2:-2]
 
 

@@ -260,7 +260,7 @@ class BlockCache:
         block, word = np.divmod(pos, 4)
         stale = self._held[rows] != block
         if stale.any():
-            s, b = rows[stale], block[stale] if np.ndim(block) else block
+            s, b = rows[stale], (block[stale] if np.ndim(block) else block)
             self._words[:, s] = philox_block(self.seed, self.index[s], b)
             self._held[s] = b
         return self._words[word, rows]
