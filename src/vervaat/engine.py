@@ -31,10 +31,22 @@ decides the output is the per-step code's, because numpy's ``power`` and
 U ** (1/beta) go through libm element by element (numpy's ``power`` only
 preselects coalescence candidates, with a 1e-9 margin), and so does the
 geometric start wherever numpy's log could round it differently.
+
+``sample_many`` is the one fan-out.  Where its rows hold enough work (rows
+times x0^beta, see ``_workers``), it forks one worker per CPU this process
+may use, and each fills a contiguous range of rows in shared memory, about
+24 bytes per row in all.  A row depends only on its substream, so the output
+is byte-identical per (seed, libm) whatever the worker count, and no worker
+outlives the call.
 """
 
 from __future__ import annotations
 
+import gc
+import os
+import signal
+import sys
+import traceback
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 
@@ -68,6 +80,16 @@ _MIN_ACTIVE = 512
 _SCALAR_STEPS = 64
 #: Most steps in one chunk, backward or forward.
 _CHUNK_MAX = 4096
+#: Work per worker process, in rows times x0^beta (the theorem's lower bound
+#: on E[T]).  Measured on 2 cores, two processes lost to one at 10^4 rows at
+#: beta = 0.25 and 1 and at 8 rows at beta = 3, and won from 2 x 10^4 and 16
+#: rows; 2 x 50,000 forks from 2 x 10^4 rows at beta <= 1 and 30 at beta = 3.
+_FORK_WORK = 50_000
+#: Least work counted per row: below beta = 1 a row costs about as much as
+#: at beta = 1 (x0^beta = 5), because fixed costs per row and per round dominate.
+_ROW_WORK = 5.0
+#: prctl's option that signals a process when its parent dies (linux/prctl.h).
+_PR_SET_PDEATHSIG = 1
 
 
 class StepBudgetError(RuntimeError):
@@ -340,26 +362,120 @@ def sample_many(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw ``n`` perfect samples, sample i on substream first_index + i.
 
-    Returns (values, steps, d0) arrays.  Results depend only on
-    (seed, substream index), never on batching or worker layout, so any
-    partition of the index range reproduces the same rows, and each row is
-    bit for bit what :func:`run_ciaftp` draws on that substream.  Raises
+    Returns (values, steps, d0) arrays, 24 bytes per row.  Results depend
+    only on (seed, substream index), never on batching or worker layout, so
+    any partition of the index range reproduces the same rows, and each row
+    is bit for bit what :func:`run_ciaftp` draws on that substream.  Raises
     :class:`StepBudgetError` for the first row, in index order, whose
-    backward phase exceeds the step budget.
+    backward phase exceeds the step budget, and ValueError unless every
+    index lies in [0, 2^64).
+
+    Enough work (see :func:`_workers`) is split into contiguous index ranges,
+    one per available CPU: forked workers fill theirs in shared memory while
+    this process fills the first.  No worker outlives the call, and a
+    worker's failure raises RuntimeError; rows are never partial.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    if not 0 <= first_index <= (1 << 64) - n:
+        raise ValueError(
+            f"substreams first_index .. first_index + n - 1 must lie in "
+            f"[0, 2^64), got first_index={first_index}, n={n}"
+        )
+    workers = _workers(params, n)
+    if workers > 1:
+        return _fan_out(params, n, seed, first_index, workers)
     values = np.empty(n)
     steps = np.empty(n, dtype=np.int64)
     d0s = np.empty(n, dtype=np.int64)
-    stream = UniformStream(seed, first_index)
+    _fill(params, seed, first_index, values, steps, d0s)
+    return values, steps, d0s
+
+
+def _workers(params, n):
+    """Processes worth using for ``n`` rows: one per :data:`_FORK_WORK` of
+    work, at most one per CPU this process may run on, and 1 off Linux, whose
+    fork, CPU affinity and parent-death signal the fan-out relies on.  A row's
+    work is x0^beta (the theorem's lower bound on E[T]), at least
+    :data:`_ROW_WORK` and at most the step budget."""
+    per_row = min(max(_power(params.x0, params.beta), _ROW_WORK), params.step_budget)
+    if n * per_row < 2 * _FORK_WORK or sys.platform != "linux":
+        return 1
+    return min(len(os.sched_getaffinity(0)), int(n * per_row // _FORK_WORK))
+
+
+def _fill(params, seed, first, values, steps, d0s):
+    """Fill the rows of substreams first, first + 1, ... in this process."""
+    n = values.size
+    stream = UniformStream(seed, first)
     # batches of equal size: a small last batch would pay for whole rounds
     batches = max(1, -(-n // _BATCH_ROWS))
     bounds = [n * b // batches for b in range(batches + 1)]
     for lo, hi in zip(bounds, bounds[1:]):
-        _sample_batch(
-            params, stream, first_index + lo, values[lo:hi], steps[lo:hi], d0s[lo:hi]
-        )
+        _sample_batch(params, stream, first + lo, values[lo:hi], steps[lo:hi], d0s[lo:hi])
+
+
+def _fan_out(params, n, seed, first, workers):
+    """:func:`sample_many` in ``workers`` contiguous ranges of rows: this
+    process fills the first, and a forked child each other one, writing its
+    rows to a shared map, and its abort slot: 1 + the offset in its range of
+    its first budget abort, or 0.  The children are reaped in index order."""
+    import ctypes
+    import mmap
+
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+    prctl.restype = ctypes.c_int
+    shared = mmap.mmap(-1, 24 * n + 8 * workers)
+    values = np.frombuffer(shared, np.float64, n)
+    steps = np.frombuffer(shared, np.int64, n, 8 * n)
+    d0s = np.frombuffer(shared, np.int64, n, 16 * n)
+    aborts = np.frombuffer(shared, np.uint64, workers, 24 * n)
+    bounds = [n * w // workers for w in range(workers + 1)]
+    parent, pids = os.getpid(), {}
+    try:
+        for w in range(1, workers):
+            lo, rows = bounds[w], slice(bounds[w], bounds[w + 1])
+            pid = os.fork()
+            if pid == 0:
+                # The child never returns into the caller, so no handler,
+                # buffered output, finalizer or atexit hook of the caller's
+                # runs in it.  It dies with its parent, and exits at once if
+                # the parent died before prctl took effect.
+                code = 1
+                try:
+                    gc.disable()
+                    dies_with_parent = prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0) == 0
+                    if dies_with_parent and os.getppid() == parent:
+                        try:
+                            _fill(params, seed, first + lo, values[rows], steps[rows], d0s[rows])
+                        except StepBudgetError as exc:
+                            aborts[w] = exc.index - first - lo + 1
+                        code = 0
+                except Exception:
+                    os.write(2, traceback.format_exc().encode())
+                finally:
+                    os._exit(code)
+            pids[w] = pid
+        rows = slice(0, bounds[1])
+        _fill(params, seed, first, values[rows], steps[rows], d0s[rows])
+        for w, pid in list(pids.items()):
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del pids[w]
+            if status:
+                raise RuntimeError(
+                    f"sample_many worker for substreams {first + bounds[w]} .. "
+                    f"{first + bounds[w + 1] - 1} failed with exit status {status}"
+                )
+            if aborts[w]:
+                index = first + bounds[w] + int(aborts[w]) - 1
+                raise StepBudgetError(
+                    params.beta, params.x0, params.step_budget, UniformStream(seed, index)
+                )
+    finally:
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return values, steps, d0s
 
 

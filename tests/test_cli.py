@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import sys
 import warnings
 from importlib import resources
 
@@ -336,6 +338,19 @@ class TestCsvWriter:
         x = 10.0 ** np.random.default_rng(5).uniform(-4, 15, 100_000)
         _, _, slow = _value_digits(x)
         assert slow.mean() < 0.01
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="sample_many forks only on Linux")
+def test_short_commands_never_fork(monkeypatch):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    for args in (("sample", "--beta", "1", "--n", "10"), ("trace", "--beta", "1"),
+                 ("analyze", "--beta", "1")):
+        assert run(*args).exit_code == 0
+    assert not forks
+    # the spy does see the workers of a batch large enough to split
+    assert run("sample", "--beta", "1", "--n", "20000").exit_code == 0
+    assert len(forks) == min(len(os.sched_getaffinity(0)), 2) - 1
 
 
 def run_cleanly(*args):

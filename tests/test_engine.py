@@ -1,6 +1,10 @@
 import inspect
 import math
+import os
+import signal
+import sys
 import textwrap
+import time
 import warnings
 
 import numpy as np
@@ -29,6 +33,12 @@ from conftest import ScriptedStream, audit_path
 @pytest.fixture
 def dickman():
     return make_params(1.0)  # x0 = 5, floor 4, threshold 2/3
+
+
+@pytest.fixture
+def serial(monkeypatch):
+    """Keeps sample_many in this process, so that spies see every call."""
+    monkeypatch.setattr(engine_mod, "_FORK_WORK", math.inf)
 
 
 class TestInitialState:
@@ -184,6 +194,19 @@ class TestSampleMany:
         for w, h, t in zip(whole, head, tail):
             assert np.array_equal(w, np.concatenate([h, t]))
 
+    def test_indices_up_to_the_last_substream(self, dickman):
+        last = 2**64 - 513
+        got = sample_many(dickman, 513, 1, first_index=last)
+        assert_same_rows(got, per_row(dickman, 513, 1, last))
+
+    @pytest.mark.parametrize(
+        "n, first_index", [(513, 2**64 - 512), (1, 2**64), (1, -1), (0, -1)]
+    )
+    def test_indices_past_the_substreams_raise(self, dickman, n, first_index):
+        # 513 rows from 2^64 - 512 used to wrap: the last row was substream 0's
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            sample_many(dickman, n, 1, first_index=first_index)
+
     def test_mean_steps_sane(self, dickman):
         _, steps, _ = sample_many(dickman, 20_000, seed=555)
         assert 5.0 <= steps.mean() <= 7.5  # coarse; the exact check is acceptance
@@ -243,7 +266,7 @@ class TestBatchedEngine:
     bit for bit what run_ciaftp draws on its substream."""
 
     @pytest.fixture(autouse=True)
-    def low_active_floor(self, monkeypatch):
+    def low_active_floor(self, monkeypatch, serial):
         # lets a few hundred rows exercise the lockstep rounds, the handoff
         # at the lockstep depth and the handoff of the last running rows
         monkeypatch.setattr(engine_mod, "_MIN_ACTIVE", 64)
@@ -341,7 +364,7 @@ class TestHandOff:
         assert (err.value.seed, err.value.index) == (62, first)
 
     @pytest.mark.parametrize("min_active", [16, 128])
-    def test_resumed_rows_take_only_their_own_steps(self, min_active, monkeypatch):
+    def test_resumed_rows_take_only_their_own_steps(self, min_active, monkeypatch, serial):
         """Past the hand-off at k, a resumed row's backward steps and chunks
         are the tail of run_ciaftp's own, and its forward pass takes
         T - k - 1 first drivers.  The rows leave at the lockstep depth, or
@@ -400,7 +423,7 @@ class TestHandOff:
         n = engine_mod._MIN_ACTIVE + offset
         assert_same_rows(sample_many(dickman, n, 63), per_row(dickman, n, 63))
 
-    def test_a_small_batch_draws_no_philox_block(self, dickman, monkeypatch):
+    def test_a_small_batch_draws_no_philox_block(self, dickman, monkeypatch, serial):
         # the whole batch leaves before any block is computed, so short runs
         # such as `sample --n 10` pay nothing for the lockstep
         calls = []
@@ -426,6 +449,153 @@ class TestHandOff:
         got = sample_many(dickman, n, seed)
         assert_same_rows(got, want)
         assert got[0][4] != per_row(dickman, n, seed)[0][4]
+
+
+def fan_out(monkeypatch, workers):
+    """Makes sample_many use ``workers`` processes whatever the work; returns
+    the list that collects the pid of each worker forked."""
+    monkeypatch.setattr(engine_mod, "_FORK_WORK", 1e-9)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+    forks, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="sample_many forks only on Linux")
+class TestFanOut:
+    """sample_many split over forked workers: the rows of one process, the
+    abort one process names, and no worker left after the call."""
+
+    @pytest.fixture(autouse=True)
+    def low_active_floor(self, monkeypatch):
+        # ranges of a few rows still run lockstep rounds and hand-offs
+        monkeypatch.setattr(engine_mod, "_MIN_ACTIVE", 8)
+
+    @pytest.mark.parametrize(
+        "beta, n, seed, first_index",
+        [(0.25, 1500, 71, 0), (1.0, 1500, 72, 2**64 - 1500), (3.0, 45, 73, 5)],
+    )
+    def test_rows_do_not_depend_on_workers(self, beta, n, seed, first_index, monkeypatch):
+        params = make_params(beta)
+        want = per_row(params, n, seed, first_index)
+        for workers in (1, 2, 3):
+            forks = fan_out(monkeypatch, workers)
+            assert_same_rows(sample_many(params, n, seed, first_index), want)
+            assert len(forks) == workers - 1
+        assert_no_child_left()
+
+    def test_zero_uniforms_in_every_range(self, dickman, monkeypatch):
+        # zero geometric starts, step-1 imputations and a second driver,
+        # spread over three ranges of 200 rows
+        n, seed = 600, 74
+        steps = per_row(dickman, n, seed)[1]
+        zeros = {(3, 0), (150, 2), (250, 0), (390, 2 * int(steps[390]) + 1), (480, 2), (599, 0)}
+        ZeroedStream, zeroed_block = zeroed(zeros)
+        want = per_row(dickman, n, seed, stream_type=ZeroedStream)
+        monkeypatch.setattr(engine_mod, "UniformStream", ZeroedStream)
+        monkeypatch.setattr(streams_mod, "philox_block", zeroed_block)
+        for workers in (2, 3):
+            forks = fan_out(monkeypatch, workers)
+            assert_same_rows(sample_many(dickman, n, seed), want)
+            assert len(forks) == workers - 1
+        plain = per_row(dickman, n, seed)
+        assert all(want[0][i] != plain[0][i] for i, _ in zeros)
+
+    @pytest.mark.parametrize(
+        "late_in", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]
+    )
+    def test_the_first_abort_is_named_as_in_one_process(self, late_in, monkeypatch):
+        """30 rows in 3 ranges of 10; ``late_in`` says which ranges hold a
+        row past the budget.  The window is the first of seed 75's rows
+        with that pattern."""
+        budget, seed = 12, 75
+        steps = per_row(make_params(1.0), 400, seed)[1]
+        late = steps > budget
+        first = next(
+            f for f in range(370)
+            if tuple(int(late[f + 10 * r : f + 10 * r + 10].any()) for r in range(3)) == late_in
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StepBudgetWarning)
+            params = make_params(1.0, step_budget=budget)
+        errors = []
+        for workers in (1, 3):
+            fan_out(monkeypatch, workers)
+            with pytest.raises(StepBudgetError) as err:
+                sample_many(params, 30, seed, first_index=first)
+            errors.append(err.value)
+        one, three = errors
+        assert (three.seed, three.index) == (one.seed, one.index)
+        assert one.index == first + int(np.argmax(late[first : first + 30]))
+        assert str(three) == str(one)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("how, status", [("exit", 1), ("kill", -signal.SIGKILL)])
+    def test_a_failed_worker_raises(self, dickman, how, status, monkeypatch):
+        fill = engine_mod._fill
+
+        def failing(params, seed, first, *rows):
+            if first == 20:  # only the worker of the last range
+                if how == "exit":
+                    os._exit(1)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return fill(params, seed, first, *rows)
+
+        monkeypatch.setattr(engine_mod, "_fill", failing)
+        forks = fan_out(monkeypatch, 3)
+        with pytest.raises(RuntimeError, match=rf"substreams 20 \.\. 29 .* status {status}$"):
+            sample_many(dickman, 30, 76)
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_a_failure_here_kills_the_workers(self, dickman, monkeypatch):
+        parent, fill = os.getpid(), engine_mod._fill
+
+        def stalled(params, seed, first, *rows):
+            if os.getpid() != parent:
+                time.sleep(60)
+                return fill(params, seed, first, *rows)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(engine_mod, "_fill", stalled)
+        forks = fan_out(monkeypatch, 3)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            sample_many(dickman, 30, 77)
+        assert time.perf_counter() - t0 < 30
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_no_worker_outlives_a_success_or_an_abort(self, monkeypatch):
+        forks = fan_out(monkeypatch, 2)
+        sample_many(make_params(1.0), 100, 78)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StepBudgetWarning)
+            params = make_params(1.0, step_budget=2)
+        with pytest.raises(StepBudgetError):
+            sample_many(params, 100, 78)
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_the_work_decides(self, dickman):
+        # a few rows never fork; the benchmark's batches use every CPU
+        cpus = len(os.sched_getaffinity(0))
+        assert engine_mod._workers(dickman, 10) == 1
+        assert engine_mod._workers(make_params(0.25), 19_999) == 1
+        assert engine_mod._workers(dickman, 100_000) == min(cpus, 10)
+        assert engine_mod._workers(make_params(3.0), 400) == min(cpus, 27)
 
 
 def stepwise(params, stream):

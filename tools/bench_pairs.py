@@ -156,6 +156,9 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": args.pairs,
         "machine": {
             "cpus": os.cpu_count(),
+            # the CPUs the runs may use, and so the workers sample_many forks
+            "cpus_available": (len(os.sched_getaffinity(0))
+                               if hasattr(os, "sched_getaffinity") else None),
             "python": platform.python_version(),
             "platform": platform.platform(),
         },
