@@ -33,9 +33,9 @@ preselects coalescence candidates, with a 1e-9 margin), and so does the
 geometric start wherever numpy's log could round it differently.
 
 ``sample_many`` is the one fan-out.  Where its rows hold enough work (rows
-times x0^beta, see ``_workers``), it forks one worker per CPU this process
-may use, and each fills a contiguous range of rows in shared memory, about
-24 bytes per row in all.  A row depends only on its substream, so the output
+times x0^beta, see ``_workers``), it forks workers, at most one per CPU this
+process may use, and each fills a contiguous range of rows in shared memory,
+about 24 bytes per row in all.  A row depends only on its substream, so the output
 is byte-identical per (seed, libm) whatever the worker count, and no worker
 outlives the call.
 """
