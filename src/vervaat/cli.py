@@ -259,23 +259,23 @@ def _check_out(ctx, param, out):
     raise click.BadParameter(f"cannot write {out!r}: {why}", ctx, param)
 
 
-def _open_out(out):
-    if out == "-":
-        return sys.stdout, False
+def _write(out, pieces):
+    """Write the strings of ``pieces`` to ``out``.  An open, write or close
+    that fails (``out`` passed :func:`_check_out`, but the disk is full, say)
+    is a usage error; a broken pipe is left to click, which exits 1 quietly."""
     try:
-        return open(out, "w", encoding="utf-8", newline=""), True
-    except OSError as exc:  # passed _check_out, but the open itself failed
+        fh = sys.stdout if out == "-" else open(out, "w", encoding="utf-8", newline="")
+        try:
+            for piece in pieces:
+                fh.write(piece)
+        finally:
+            if fh is not sys.stdout:
+                fh.close()
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
         raise click.BadParameter(f"cannot write {out!r}: {exc.strerror}",
                                  param_hint="'--out'")
-
-
-def _emit(out, text):
-    fh, close = _open_out(out)
-    try:
-        fh.write(text)
-    finally:
-        if close:
-            fh.close()
 
 
 def _beta_option(f):
@@ -342,22 +342,20 @@ def sample(beta, n, seed, fmt, out):
     except StepBudgetError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(_BUDGET_EXIT)
-    # JSON in chunks too: byte for byte json.dumps(rows, indent=2) + "\n"
-    head, tail = ("[\n", "\n]\n") if fmt == "json" else ("index,y_value,steps,d0\n", "")
-    fh, close = _open_out(out)
-    try:
-        fh.write(head)
+
+    def pieces():
+        # JSON in chunks too: byte for byte json.dumps(rows, indent=2) + "\n"
+        yield "[\n" if fmt == "json" else "index,y_value,steps,d0\n"
         for lo in range(0, n, _CSV_ROWS):
             hi = min(lo + _CSV_ROWS, n)
             chunk = (lo, values[lo:hi], steps[lo:hi], d0s[lo:hi])
             if fmt == "json":
-                fh.write((",\n" if lo else "") + _json_rows(*chunk))
+                yield (",\n" if lo else "") + _json_rows(*chunk)
             else:
-                fh.write(_csv_rows(*chunk))
-        fh.write(tail)
-    finally:
-        if close:
-            fh.close()
+                yield _csv_rows(*chunk)
+        yield "\n]\n" if fmt == "json" else ""
+
+    _write(out, pieces())
 
 
 @main.command()
@@ -390,7 +388,7 @@ def analyze(beta, truncation, out):
         },
         "c": small_beta_constant(1e-9),
     }
-    _emit(out, json.dumps(payload, indent=2) + "\n")
+    _write(out, [json.dumps(payload, indent=2) + "\n"])
 
 
 @main.command()
@@ -421,7 +419,7 @@ def validate(beta, n, seed, depth, out):
     except StepBudgetError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(_BUDGET_EXIT)
-    _emit(out, json.dumps(report.to_dict(), indent=2) + "\n")
+    _write(out, [json.dumps(report.to_dict(), indent=2) + "\n"])
     if not report.passed:
         sys.exit(1)
 
@@ -457,7 +455,7 @@ def trace(beta, seed, index, out):
         f"X   (time {-(t - 1)} .. 0): " + " ".join(_fmt(x) for x in r.x_path),
         f"X0 = {_fmt(r.value)}",
     ]
-    _emit(out, "\n".join(lines) + "\n")
+    _write(out, ["\n".join(lines) + "\n"])
 
 
 if __name__ == "__main__":

@@ -26,11 +26,12 @@ advances batches one step per round, reading uniforms through a
 ``BlockCache``; a row that leaves the lockstep after k steps finishes its
 walk on ``run_ciaftp``'s path, which rolls it forward to X(-k), and the
 lockstep applies steps k .. 1 (see ``_backward``).  Every value that
-decides the output is the per-step code's, because numpy's ``power`` and
-``log`` differ from libm's in the last bit for some inputs: powers
-U ** (1/beta) go through libm element by element (numpy's ``power`` only
-preselects coalescence candidates, with a 1e-9 margin), and so does the
-geometric start wherever numpy's log could round it differently.
+decides the output is the per-step code's.  Powers U ** (1/beta) in arrays
+go through ``np.float_power``, which calls libm's ``pow`` element by element
+(a test pins it to ``**``; numpy's ``power`` has SIMD loops that differ in
+the last bit), each first driver's W(1) once per backward step.  Logs go
+through numpy, with libm wherever numpy's could round the geometric start
+differently (see ``streams``).
 
 ``sample_many`` is the one fan-out.  Where its rows hold enough work (rows
 times x0^beta, see ``_workers``), it forks workers, at most one per CPU this
@@ -237,12 +238,12 @@ def _complete(
         backward_extend(params, path, stream)
     t_coal = path.coalesce_index
     if t_coal is None:
-        t_coal, u = _backward_chunked(params, path, stream, collect_path, first, done)
+        t_coal, w = _backward_chunked(params, path, stream, collect_path, first, done)
         # a slice at a time, so no list of a whole long path is ever built
-        drivers = chain.from_iterable(reversed(u[max(h - _CHUNK_MAX, 0) : h].tolist())
+        drivers = chain.from_iterable(reversed(w[max(h - _CHUNK_MAX, 0) : h].tolist())
                                       for h in range(t_coal - 1, 0, -_CHUNK_MAX))
     else:
-        drivers = reversed(path.imputed_u[: t_coal - 1])
+        drivers = [u**params.inv_beta for u in reversed(path.imputed_u[: t_coal - 1])]
 
     w2s = stream if w2_stream is None else w2_stream
     x = w2s.next_uniform() ** params.inv_beta  # X(-T+1) = W(-T)(2), any start collapses here
@@ -261,33 +262,33 @@ def _backward_chunked(params, path, stream, collect_path, first, done):
     """Grow ``path`` in chunks as long as the walk so far (``done`` steps
     before ``path`` included), and at least ``first`` steps (at most
     :data:`_CHUNK_MAX`), until it coalesces; return T within ``path`` and
-    all its imputed U as an array.  ``path`` itself is extended only for
-    ``collect_path``."""
-    imputed = [np.array(path.imputed_u)]
-    states = [np.array(path.d_states[1:], dtype=np.int64)]
-    t, d, t_coal = len(path.imputed_u), path.d_states[-1], None
+    the W(1) of all its steps as an array.  ``path`` itself is extended only
+    for ``collect_path``."""
+    u = path.imputed_u
+    parts = [(np.array(path.d_states[1:], dtype=np.int64), np.array(u),
+              np.float_power(u, params.inv_beta))]
+    t, d, t_coal = len(u), path.d_states[-1], None
     while t_coal is None:
         k = min(max(done + t, first), _CHUNK_MAX, params.step_budget - done - t)
         if k <= 0:
             raise StepBudgetError(params.beta, params.x0, params.step_budget, stream)
-        d_k, u_k, j = _backward_chunk(params, d, stream, k)
+        d_k, u_k, w_k, j = _backward_chunk(params, d, stream, k)
         if j is not None:
-            d_k, u_k, t_coal = d_k[: j + 1], u_k[: j + 1], t + j + 1
-        imputed.append(u_k)
-        states.append(d_k)
+            d_k, u_k, w_k, t_coal = d_k[: j + 1], u_k[: j + 1], w_k[: j + 1], t + j + 1
+        parts.append((d_k, u_k, w_k))
         t, d = t + u_k.size, int(d_k[-1])
-    imputed = np.concatenate(imputed)
+    states, imputed, w = zip(*parts)
     if collect_path:
         path.d_states[1:] = np.concatenate(states).tolist()
-        path.imputed_u[:] = imputed.tolist()
+        path.imputed_u[:] = np.concatenate(imputed).tolist()
         path.coalesce_index = t_coal
-    return t_coal, imputed
+    return t_coal, np.concatenate(w)
 
 
 def _backward_chunk(params, d, stream, k):
-    """Up to ``k`` backward steps from D = ``d``: arrays of D and imputed U
-    per step, and the index j of the first step that coalesces (None if
-    none does), with ``stream`` left just after that step's uniforms.
+    """Up to ``k`` backward steps from D = ``d``: arrays of D, imputed U and
+    its W(1) per step, and the index j of the first step that coalesces
+    (None if none does), with ``stream`` left just after that step's uniforms.
 
     The walk reflects at its floor (a Lindley recursion), so D(-i) = floor
     + S_i + max(d - floor, -min_{h<=i} S_h) for the partial sums S of the
@@ -302,29 +303,28 @@ def _backward_chunk(params, d, stream, k):
         while part.coalesce_index is None and len(part.imputed_u) < k:
             backward_extend(params, part, stream)
         j = None if part.coalesce_index is None else part.coalesce_index - 1
-        return np.array(part.d_states[1:]), np.array(part.imputed_u), j
+        u_k = np.array(part.imputed_u)
+        return np.array(part.d_states[1:]), u_k, np.float_power(u_k, params.inv_beta), j
     floor = params.x0 - 1
     s = np.cumsum(np.where(u[0::2] > TWO_THIRDS, 1, -1))
     d_k = floor + s + np.maximum(d - floor, -np.minimum.accumulate(s))
     up = np.concatenate(([d], d_k[:-1])) == d_k + 1  # forward move D(-i) -> D(-i+1)
     u_k = np.where(up, TWO_THIRDS + u_raw / 3.0, TWO_THIRDS * u_raw)
-    # numpy's power is within a few ulps of libm's, far inside the 1e-9
-    # margin, so every coalescing step is a candidate; libm decides.
-    w1 = np.power(u_k, params.inv_beta)
-    for j in np.flatnonzero(w1 <= (1.0 / (1.0 + d_k)) * (1.0 + 1e-9)).tolist():
-        if coupler_collapses(int(d_k[j]), float(u_k[j]) ** params.inv_beta):
-            stream.seek(start + 2 * (j + 1))
-            return d_k, u_k, j
-    return d_k, u_k, None
+    w_k = np.float_power(u_k, params.inv_beta)
+    hits = np.flatnonzero(coupler_collapses(d_k, w_k))
+    if not hits.size:
+        return d_k, u_k, w_k, None
+    j = int(hits[0])
+    stream.seek(start + 2 * (j + 1))
+    return d_k, u_k, w_k, j
 
 
 def _forward_walk(params, drivers, x, w2s, x_path=None):
-    """Run the coupler from ``x`` on first drivers u ** (1/beta) for u in
-    ``drivers`` (Python floats: libm's power) and second drivers from
-    ``w2s``; return the last state, appending each state to ``x_path``."""
+    """Run the coupler from ``x`` on the first drivers W(1) in ``drivers``
+    (Python floats) and second drivers from ``w2s``; return the last state,
+    appending each state to ``x_path``."""
     inv_beta = params.inv_beta
-    for u in drivers:
-        w1 = u**inv_beta
+    for w1 in drivers:
         y = 1.0 + x
         if w1 <= 1.0 / y:  # coupler_collapses(x, w1), inlined: same float operations
             x = w2s.next_uniform() ** inv_beta
@@ -354,7 +354,8 @@ def forward_reconstruct(
         raise ValueError(
             f"start must lie in [0, D(-T)] = [0, {d_top}], got {start}"
         )
-    return _forward_walk(params, reversed(path.imputed_u[:t_coal]), float(start), stream)
+    drivers = [u**params.inv_beta for u in reversed(path.imputed_u[:t_coal])]
+    return _forward_walk(params, drivers, float(start), stream)
 
 
 def sample_many(
@@ -479,13 +480,6 @@ def _fan_out(params, n, seed, first, workers):
     return values, steps, d0s
 
 
-def _pow(u: np.ndarray, inv_beta: float) -> np.ndarray:
-    """u ** inv_beta element by element with libm's pow, as the scalar path."""
-    if inv_beta == 1.0:
-        return u
-    return np.array([x**inv_beta for x in u.tolist()], dtype=float)
-
-
 def _sample_batch(params, stream, first, values, steps, d0s):
     """Fill the rows of substreams first, first + 1, ... in lockstep, with
     ``stream`` re-pointed, in row order, at each row handed off."""
@@ -540,11 +534,11 @@ def _backward(params, blocks, values, steps, d0s):
             rows, d, u_dir, u = rows[keep], d[keep], u_dir[keep], u[keep]
         d_new = np.where(u_dir > TWO_THIRDS, d + 1, np.maximum(d - 1, params.x0 - 1))
         u_imp = np.where(d == d_new + 1, TWO_THIRDS + u / 3.0, TWO_THIRDS * u)
-        w1 = _pow(u_imp, inv_beta)
+        w1 = np.float_power(u_imp, inv_beta)
         done = coupler_collapses(d_new, w1)
         c = rows[done]
         steps[c], pos[c] = k, 2 * k + 2
-        values[c] = _pow(blocks.take(c, 2 * k + 1), inv_beta)
+        values[c] = np.float_power(blocks.take(c, 2 * k + 1), inv_beta)
         going = ~done
         rows, d = rows[going], d_new[going]
         hist.append((rows, w1[going]))
@@ -564,6 +558,6 @@ def _forward(params, blocks, hist, pos, x):
         new = w1 * (1.0 + xr)
         if collapse.any():
             c = r[collapse]
-            new[collapse] = _pow(blocks.take(c, pos[c]), inv_beta)
+            new[collapse] = np.float_power(blocks.take(c, pos[c]), inv_beta)
             pos[c] += 1
         x[r] = new

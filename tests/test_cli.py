@@ -116,8 +116,9 @@ class TestSample:
 
 
 class TestOut:
-    """An --out that cannot be written exits 2, naming it, before any work;
-    a budget abort leaves an existing one untouched."""
+    """An --out that cannot be written exits 2, naming it, before any work,
+    and so does a write or close that fails; a broken pipe exits 1 quietly,
+    as click ends it.  A budget abort leaves an existing --out untouched."""
 
     @pytest.mark.parametrize(
         "args",
@@ -145,6 +146,31 @@ class TestOut:
         r = run_cleanly("analyze", "--beta", "1", "--out", str(target))
         assert r.exit_code == 2
         assert f"cannot write '{target}': Permission denied" in r.output
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("sample", "--beta", "1"),
+            ("sample", "--beta", "1", "--n", str(2 * _CSV_ROWS), "--format", "json"),
+            ("analyze", "--beta", "1"),
+            ("validate", "--beta", "1", "--n", "10000"),
+            ("trace", "--beta", "1"),
+        ],
+    )
+    def test_a_failed_write_exits_2(self, args):
+        # /dev/full opens, but every write to it fails with ENOSPC
+        r = run_cleanly(*args, "--out", "/dev/full")
+        assert r.exit_code == 2
+        assert "cannot write '/dev/full': No space left on device" in r.output
+
+    def test_a_broken_pipe_is_left_to_click(self, monkeypatch):
+        def broken(*args):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cli_mod, "_csv_rows", broken)
+        r = CliRunner().invoke(main, ["sample", "--beta", "1", "--n", "3"])
+        assert r.exit_code == 1 and "cannot write" not in r.output
 
     @pytest.mark.filterwarnings("ignore::vervaat.StepBudgetWarning")
     @pytest.mark.parametrize("command", ["sample", "trace"])
