@@ -26,12 +26,11 @@ advances batches one step per round, reading uniforms through a
 ``BlockCache``; a row that leaves the lockstep after k steps finishes its
 walk on ``run_ciaftp``'s path, which rolls it forward to X(-k), and the
 lockstep applies steps k .. 1 (see ``_backward``).  Every value that
-decides the output is the per-step code's.  Powers U ** (1/beta) in arrays
-go through ``np.float_power``, which calls libm's ``pow`` element by element
-(a test pins it to ``**``; numpy's ``power`` has SIMD loops that differ in
-the last bit), each first driver's W(1) once per backward step.  Logs go
-through numpy, with libm wherever numpy's could round the geometric start
-differently (see ``streams``).
+decides the output is the per-step code's.  Powers U ** (1/beta) of arrays
+go through ``np.float_power``, which is libm's ``pow`` element by element (a
+test pins it to ``**``); the forward pass reuses the W(1) that the lockstep
+and the chunks compute.  Logs go through numpy, with a libm fallback near
+integers (see ``streams``).
 
 ``sample_many`` is the one fan-out.  Where its rows hold enough work (rows
 times x0^beta, see ``_workers``), it forks workers, at most one per CPU this
@@ -534,11 +533,13 @@ def _backward(params, blocks, values, steps, d0s):
             rows, d, u_dir, u = rows[keep], d[keep], u_dir[keep], u[keep]
         d_new = np.where(u_dir > TWO_THIRDS, d + 1, np.maximum(d - 1, params.x0 - 1))
         u_imp = np.where(d == d_new + 1, TWO_THIRDS + u / 3.0, TWO_THIRDS * u)
-        w1 = np.float_power(u_imp, inv_beta)
+        # u ** 1.0 is u: at beta = 1 the lockstep takes no power
+        w1 = u_imp if inv_beta == 1.0 else np.float_power(u_imp, inv_beta)
         done = coupler_collapses(d_new, w1)
         c = rows[done]
         steps[c], pos[c] = k, 2 * k + 2
-        values[c] = np.float_power(blocks.take(c, 2 * k + 1), inv_beta)
+        u2 = blocks.take(c, 2 * k + 1)
+        values[c] = u2 if inv_beta == 1.0 else np.float_power(u2, inv_beta)
         going = ~done
         rows, d = rows[going], d_new[going]
         hist.append((rows, w1[going]))
@@ -558,6 +559,7 @@ def _forward(params, blocks, hist, pos, x):
         new = w1 * (1.0 + xr)
         if collapse.any():
             c = r[collapse]
-            new[collapse] = np.float_power(blocks.take(c, pos[c]), inv_beta)
+            u2 = blocks.take(c, pos[c])
+            new[collapse] = u2 if inv_beta == 1.0 else np.float_power(u2, inv_beta)
             pos[c] += 1
         x[r] = new

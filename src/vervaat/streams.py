@@ -16,9 +16,11 @@ bits and scaled by 2^-53.  Because that is a pure function of the key and
 the position, :func:`philox_block` computes the same uniforms for many
 substreams at once in numpy, bit for bit equal to :class:`UniformStream`.
 Code that turns those uniforms into output must also transform them as the
-scalar code does: numpy's vectorized ``log`` and ``power`` differ from
-libm's (which Python's ``math.log`` and ``**`` use) in the last bit for
-some inputs, so such values go through libm (see ``engine``).
+scalar code does, whose ``**`` and ``math.log`` are libm's.  Powers go
+through ``np.float_power``, which is libm's ``pow`` element by element (a
+test pins it to ``**``).  Logs go through numpy, whose vectorized ``log``
+differs from libm's in the last bit for some inputs, with a libm fallback
+near integers (:func:`_geometric_array`).
 """
 
 from __future__ import annotations

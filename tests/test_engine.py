@@ -41,6 +41,32 @@ def serial(monkeypatch):
     monkeypatch.setattr(engine_mod, "_FORK_WORK", math.inf)
 
 
+@pytest.fixture(scope="module")
+def power_bases():
+    """1e6 imputation values and more: 333,334 uniforms under each of the
+    engine's maps u, 2/3 + u/3 and (2/3) u, and the edge values."""
+    u = np.random.default_rng(69).random(333_334)
+    edges = [0.0, 5e-324, 2.2250738585072014e-308, 1.0 - 2.0**-53, TWO_THIRDS]
+    x = np.concatenate([u, TWO_THIRDS + u / 3.0, TWO_THIRDS * u, edges])
+    return x, x.tolist()
+
+
+class TestFloatPower:
+    """The engine computes W = U ** (1/beta) of arrays with np.float_power,
+    which must be libm's pow, as ``**`` is, element by element.  numpy's
+    ``power`` is not on machines where it runs a SIMD loop; a numpy whose
+    ``float_power`` did so would fail here before any output byte changed."""
+
+    @pytest.mark.parametrize("beta", [0.25, 1 / 3, 0.5, 1.0, 1.52, 2.0, 3.0, 7.0])
+    def test_float_power_is_libm_pow(self, beta, power_bases):
+        x, xs = power_bases
+        inv_beta = 1.0 / beta
+        want = np.array([v**inv_beta for v in xs])
+        got = np.float_power(x, inv_beta)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestInitialState:
     def test_geometric_one(self, dickman):
         assert draw_initial_dominating(dickman, ScriptedStream([0.5])) == 4
@@ -705,9 +731,8 @@ class TestChunkedBackward:
         """Uniforms for a beta = 1 run that coalesces at step t_coal.
 
         Random directions; imputation uniforms >= 1/2 cannot coalesce,
-        except step t_coal's tiny one.  Step 70 just misses: its U exceeds
-        1/(1 + D) by about an ulp, which passes the candidate filter and
-        must be rejected by the exact test.
+        except step t_coal's tiny one.  Step 70 just misses: its U = W(1)
+        exceeds 1/(1 + D) by an ulp, a near miss of the exact predicate.
         """
         rng = np.random.default_rng(t_coal)
         u = rng.random(4 * t_coal + 200)  # a chunk may read past T
@@ -726,6 +751,29 @@ class TestChunkedBackward:
         got = run_ciaftp(dickman, ArrayStream(u), collect_path=True)
         assert got.steps == t_coal
         assert_same_run(dickman, got, *stepwise(dickman, ArrayStream(u)))
+
+    @staticmethod
+    def on_the_boundary(params, t_coal):
+        """Uniforms for a run that holds at the floor and coalesces at step
+        t_coal, where W(1) is exactly 1/(1 + D): the boundary collapses."""
+        u = TestChunkedBackward.coalescing_at(params, t_coal)
+        u[1 : 2 * t_coal : 2] = 0.5  # hold at the floor: U = (2/3) u
+        thr = 1.0 / (1.0 + (params.x0 - 1))
+        lo = hi = thr**params.beta / TWO_THIRDS
+        while not any((TWO_THIRDS * r) ** params.inv_beta == thr for r in (lo, hi)):
+            lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, 1.0)
+        u[2 * t_coal] = lo if (TWO_THIRDS * lo) ** params.inv_beta == thr else hi
+        return u
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    @pytest.mark.parametrize("t_coal", [64, 65, 100, 129])
+    def test_coalescence_on_the_boundary(self, beta, t_coal):
+        params = make_params(beta)
+        u = self.on_the_boundary(params, t_coal)
+        got = run_ciaftp(params, ArrayStream(u), collect_path=True)
+        assert got.steps == t_coal
+        assert got.path.imputed_u[-1] ** params.inv_beta == 1.0 / params.x0
+        assert_same_run(params, got, *stepwise(params, ArrayStream(u)))
 
     @staticmethod
     def budget_edge(beta, budget):
@@ -850,20 +898,21 @@ class TestInlinedCoupler:
     """_forward_walk inlines coupler_collapses; it must take the same branch
     on every input, the boundary w1 == 1 / (1 + x) included."""
 
-    def test_branch_matches_the_predicate(self, dickman):
+    def test_branch_matches_the_predicate(self):
         rng = np.random.default_rng(67)
         xs = [0.0, 5e-324, 1e-300, 0.5, 1.0, 3.0, math.nextafter(3.0, 0.0), 7.25, 1e6]
         xs += (rng.random(300) * 30.0).tolist()
-        branches = set()
-        for x in xs:
-            thr = 1.0 / (1.0 + x)
-            for w1 in (math.nextafter(thr, 0.0), thr, math.nextafter(thr, 1.0)):
-                # beta = 1: the driver u is w1 itself, as u ** 1.0 == u
-                got = engine_mod._forward_walk(dickman, [w1], x, _ZeroStream())
-                collapses = coupler_collapses(x, w1)
-                assert got == (0.0 if collapses else w1 * (1.0 + x)), (x, w1)
-                branches.add(collapses)
-        assert branches == {True, False}
+        for params in (make_params(1.0), make_params(3.0)):
+            branches = set()
+            for x in xs:
+                thr = 1.0 / (1.0 + x)
+                for w1 in (math.nextafter(thr, 0.0), thr, math.nextafter(thr, 1.0)):
+                    # the driver is w1 itself at every beta: the walk takes W(1)
+                    got = engine_mod._forward_walk(params, [w1], x, _ZeroStream())
+                    collapses = coupler_collapses(x, w1)
+                    assert got == (0.0 if collapses else w1 * (1.0 + x)), (x, w1)
+                    branches.add(collapses)
+            assert branches == {True, False}
 
     def test_flipped_branch_breaks_beta3_rows(self, monkeypatch):
         source = textwrap.dedent(inspect.getsource(engine_mod._forward_walk))
