@@ -22,6 +22,7 @@ formatted by ``%`` and stored over their numpy cells.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
@@ -260,20 +261,24 @@ def _check_out(ctx, param, out):
 
 
 def _write(out, pieces):
-    """Write the strings of ``pieces`` to ``out``.  An open, write or close
-    that fails (``out`` passed :func:`_check_out`, but the disk is full, say)
-    is a usage error; a broken pipe is left to click, which exits 1 quietly."""
+    """Write the strings of ``pieces`` to ``out``.  An open, write, flush or
+    close that fails (``out`` passed :func:`_check_out`, but the disk is full,
+    say) is a usage error; a broken pipe is left to click, which exits 1 quietly."""
     try:
         fh = sys.stdout if out == "-" else open(out, "w", encoding="utf-8", newline="")
         try:
             for piece in pieces:
                 fh.write(piece)
+            fh.flush()  # stdout too: its failure is handled here, not at exit
         finally:
             if fh is not sys.stdout:
                 fh.close()
     except BrokenPipeError:
         raise
     except OSError as exc:
+        if out == "-":  # else the interpreter flushes the rest again at exit and exits 120
+            with contextlib.suppress(OSError):
+                sys.stdout.close()
         raise click.BadParameter(f"cannot write {out!r}: {exc.strerror}",
                                  param_hint="'--out'")
 

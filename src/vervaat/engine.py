@@ -242,7 +242,7 @@ def _complete(
         drivers = chain.from_iterable(reversed(w[max(h - _CHUNK_MAX, 0) : h].tolist())
                                       for h in range(t_coal - 1, 0, -_CHUNK_MAX))
     else:
-        drivers = [u**params.inv_beta for u in reversed(path.imputed_u[: t_coal - 1])]
+        drivers = (u**params.inv_beta for u in reversed(path.imputed_u[: t_coal - 1]))
 
     w2s = stream if w2_stream is None else w2_stream
     x = w2s.next_uniform() ** params.inv_beta  # X(-T+1) = W(-T)(2), any start collapses here
@@ -353,7 +353,7 @@ def forward_reconstruct(
         raise ValueError(
             f"start must lie in [0, D(-T)] = [0, {d_top}], got {start}"
         )
-    drivers = [u**params.inv_beta for u in reversed(path.imputed_u[:t_coal])]
+    drivers = (u**params.inv_beta for u in reversed(path.imputed_u[:t_coal]))
     return _forward_walk(params, drivers, float(start), stream)
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import subprocess
 import sys
 import warnings
 from importlib import resources
@@ -117,8 +118,9 @@ class TestSample:
 
 class TestOut:
     """An --out that cannot be written exits 2, naming it, before any work,
-    and so does a write or close that fails; a broken pipe exits 1 quietly,
-    as click ends it.  A budget abort leaves an existing --out untouched."""
+    and so does a write, flush or close that fails, to a file or to stdout;
+    a broken pipe exits 1 quietly, as click ends it.  A budget abort leaves
+    an existing --out untouched."""
 
     @pytest.mark.parametrize(
         "args",
@@ -163,6 +165,28 @@ class TestOut:
         r = run_cleanly(*args, "--out", "/dev/full")
         assert r.exit_code == 2
         assert "cannot write '/dev/full': No space left on device" in r.output
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("analyze", "--beta", "1"),  # all of it fits the buffer
+            ("sample", "--beta", "1", "--n", str(2 * _CSV_ROWS)),
+        ],
+    )
+    def test_a_failed_stdout_exits_2(self, args):
+        # a new interpreter with block-buffered stdout, which flushes what
+        # stayed buffered again at exit (CliRunner never does)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        src = os.path.dirname(os.path.dirname(cli_mod.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        cmd = [sys.executable, "-c", "from vervaat.cli import main; main()", *args]
+        with open("/dev/full", "w") as full:
+            r = subprocess.run(cmd, stdout=full, stderr=subprocess.PIPE, env=env,
+                               text=True, timeout=60)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.endswith("cannot write '-': No space left on device\n")
+        assert "Exception ignored" not in r.stderr and "Traceback" not in r.stderr
 
     def test_a_broken_pipe_is_left_to_click(self, monkeypatch):
         def broken(*args):
