@@ -533,13 +533,11 @@ def _backward(params, blocks, values, steps, d0s):
             rows, d, u_dir, u = rows[keep], d[keep], u_dir[keep], u[keep]
         d_new = np.where(u_dir > TWO_THIRDS, d + 1, np.maximum(d - 1, params.x0 - 1))
         u_imp = np.where(d == d_new + 1, TWO_THIRDS + u / 3.0, TWO_THIRDS * u)
-        # u ** 1.0 is u: at beta = 1 the lockstep takes no power
-        w1 = u_imp if inv_beta == 1.0 else np.float_power(u_imp, inv_beta)
+        w1 = np.float_power(u_imp, inv_beta)
         done = coupler_collapses(d_new, w1)
         c = rows[done]
         steps[c], pos[c] = k, 2 * k + 2
-        u2 = blocks.take(c, 2 * k + 1)
-        values[c] = u2 if inv_beta == 1.0 else np.float_power(u2, inv_beta)
+        values[c] = np.float_power(blocks.take(c, 2 * k + 1), inv_beta)
         going = ~done
         rows, d = rows[going], d_new[going]
         hist.append((rows, w1[going]))
@@ -559,7 +557,6 @@ def _forward(params, blocks, hist, pos, x):
         new = w1 * (1.0 + xr)
         if collapse.any():
             c = r[collapse]
-            u2 = blocks.take(c, pos[c])
-            new[collapse] = u2 if inv_beta == 1.0 else np.float_power(u2, inv_beta)
+            new[collapse] = np.float_power(blocks.take(c, pos[c]), inv_beta)
             pos[c] += 1
         x[r] = new
