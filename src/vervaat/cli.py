@@ -23,6 +23,7 @@ formatted by ``%`` and stored over their numpy cells.
 from __future__ import annotations
 
 import contextlib
+import gc
 import json
 import os
 import sys
@@ -48,13 +49,14 @@ _MAX_TRUNCATION = 10_000
 #: Largest ``sample --n``: a run holds about 24 bytes per row, so about
 #: 2.4 GB at this size.
 _MAX_SAMPLE_N = 10**8
-#: Largest ``validate --n``: a run holds about 70 bytes per row, so about
-#: 0.7 GB at this size.
+#: Largest ``validate --n``: a run holds about 45 bytes per row over a fixed
+#: 60 MB (105 MB at n = 10^6), so about 0.5 GB at this size.
 _MAX_VALIDATE_N = 10**7
-#: Largest ``validate --depth``, explicit or the default ``oracle_depth``: a
-#: series block holds 16384 rows of this many doubles, a few times over.
-#: The default depth passes it only from beta ~ 40, far past beta ~ 4.3,
-#: where the default step budget already aborts.
+#: Largest ``validate --depth``, explicit or the default ``oracle_depth``.
+#: The oracle's series blocks have a fixed byte size, so its memory does not
+#: grow with depth; the cap bounds run time, which does.  The default depth
+#: passes it only from beta ~ 40, far past beta ~ 4.3, where the default
+#: step budget already aborts.
 _MAX_DEPTH = 1000
 
 
@@ -246,7 +248,9 @@ def _check_out(ctx, param, out):
     """``out``, unless it names a file that cannot be written: that is a
     usage error before any work, and nothing is created or truncated."""
     if out == "-":
-        return out
+        if sys.stdout is not None:
+            return out
+        raise click.BadParameter("cannot write '-': standard output is closed", ctx, param)
     path = os.path.abspath(out)
     parent = os.path.dirname(path)
     if not os.path.isdir(parent):
@@ -462,6 +466,10 @@ def trace(beta, seed, index, out):
     ]
     _write(out, ["\n".join(lines) + "\n"])
 
+
+# The objects that numpy, scipy and click made at import live until exit;
+# frozen, no collection (and not the final one) traverses them again.
+gc.freeze()
 
 if __name__ == "__main__":
     main()

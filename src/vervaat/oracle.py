@@ -45,10 +45,16 @@ EULER_GAMMA = 0.577215664901533
 #: engine index.
 _ORACLE_STREAM_INDEX = 1 << 62
 
-#: Series rows drawn per block; the output does not depend on it, because
-#: the uniforms are consumed in the same order.  Larger blocks only raise
-#: the peak memory (n * depth doubles per block, several times over).
-_BATCH_ROWS = 16384
+#: Bytes of one series block (rows x depth doubles, at least one row).  The
+#: block is drawn, powered and multiplied in place and freed before the
+#: next, so the oracle holds one block whatever the depth.  The output does
+#: not depend on the size: the uniforms are consumed in the same order, and
+#: each row's products and sum are the same float operations.
+_BLOCK_BYTES = 1 << 20
+
+#: Grid points per searchsorted scan of :func:`ks_two_sample`; the same
+#: kind of bound, on its n-length temporaries.
+_KS_CHUNK = 1 << 16
 
 
 def truncated_sum_batch(
@@ -57,14 +63,15 @@ def truncated_sum_batch(
     """``n`` independent truncated-series draws (vectorized, chunked)."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
+    rows = max(_BLOCK_BYTES // (8 * max(depth, 1)), 1)
     out = np.empty(n)
-    done = 0
-    while done < n:
-        m = min(_BATCH_ROWS, n - done)
+    for lo in range(0, n, rows):
+        m = min(rows, n - lo)
         u = stream.uniforms(m * depth).reshape(m, depth)
         np.power(u, params.inv_beta, out=u)
-        out[done : done + m] = np.cumprod(u, axis=1).sum(axis=1)
-        done += m
+        np.cumprod(u, axis=1, out=u)
+        u.sum(axis=1, out=out[lo : lo + m])
+        del u
     return out
 
 
@@ -105,9 +112,13 @@ def ks_two_sample(a, b) -> float:
     b = np.sort(b)
 
     def sup(grid):  # over a's points, then b's: no pooled grid is built
-        gap = np.searchsorted(a, grid, side="right") / a.size
-        gap -= np.searchsorted(b, grid, side="right") / b.size
-        return np.abs(gap, out=gap).max()
+        d = 0.0
+        for lo in range(0, grid.size, _KS_CHUNK):
+            part = grid[lo : lo + _KS_CHUNK]
+            gap = np.searchsorted(a, part, side="right") / a.size
+            gap -= np.searchsorted(b, part, side="right") / b.size
+            d = max(d, np.abs(gap, out=gap).max())
+        return d
 
     return float(max(sup(a), sup(b)))
 
@@ -230,7 +241,7 @@ def validate_run(
     checks.append(_check("mean_z", _z(values.mean() - mean, se_mean), 4.0, (n,)))
     centered = values - values.mean()
     sample_var = float(np.mean(centered**2))
-    m4 = float(np.mean(centered**4))
+    m4 = float(np.mean(np.power(centered, 4, out=centered)))
     se_var = math.sqrt(max(m4 - sample_var**2, 0.0) / n)
     checks.append(_check("variance_z", _z(sample_var - variance, se_var), 5.0, (n,)))
 

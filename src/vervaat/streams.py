@@ -100,7 +100,7 @@ class UniformStream:
             out[:take] = self._buf[self._i : self._i + take]
             self._i += take
         if take < n:
-            out[take:] = self._gen.random(n - take)
+            self._gen.random(out=out[take:])  # drawn in place: no temporary
             self._buf = []
             self._i = 0
         self.position += n

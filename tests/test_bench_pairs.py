@@ -68,3 +68,39 @@ def test_runs_write_bytecode_whatever_the_caller_set(summarize, monkeypatch):
     assert bench_pairs._run(ROOT, "dickman", 1, 1) == {"correct": 1}
     assert "PYTHONDONTWRITEBYTECODE" not in seen["env"]
     assert seen["env"]["PATH"] == os.environ["PATH"]
+
+
+RUN_PY_TAIL = """\
+  latency_tail_s   0.912 s at p97.5 (10 of 400 invocations beyond it)
+  phase start      median 0.0412 s
+  phase import     median 0.521 s
+  phase command    median 0.108 s
+  phase exit       median 2.13e-02 s
+  failed_share     0/400; replayed rows 40, mismatches 0, digests compared 12
+{"correct": true}
+"""
+
+
+def test_phase_lines_are_parsed(summarize):
+    bench_pairs = sys.modules[summarize.__module__]
+    assert bench_pairs.parse_phases(RUN_PY_TAIL) == {
+        "start": 0.0412, "import": 0.521, "command": 0.108, "exit": 0.0213}
+    assert bench_pairs.parse_phases('{"correct": true}\n') == {}
+
+
+def test_a_run_carries_its_phases(summarize, monkeypatch):
+    bench_pairs = sys.modules[summarize.__module__]
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda cmd, **kwargs:
+                        subprocess.CompletedProcess(cmd, 0, stdout=RUN_PY_TAIL, stderr=""))
+    result = bench_pairs._run(ROOT, "dickman", 1, 1)
+    assert result["correct"] is True and result["phases"]["exit"] == 0.0213
+
+
+def test_phases_are_summarised_like_metrics(summarize):
+    rs = [{"workload": "w", "pair": pair, "side": side, "metrics": {},
+           "phases": {"exit": value}}
+          for pair, both in enumerate([(0.1, 0.02), (0.08, 0.03), (0.09, 0.01)])
+          for side, value in zip(("base", "head"), both)]
+    s = summarize(rs, {"exit": "lower"}, "phases")["w"]["exit"]
+    assert (s["pairs"], s["head_wins"]) == (3, 3)
+    assert (s["base"]["median"], s["head"]["median"]) == (0.09, 0.02)

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 import warnings
@@ -177,9 +179,7 @@ class TestOut:
     def test_a_failed_stdout_exits_2(self, args):
         # a new interpreter with block-buffered stdout, which flushes what
         # stayed buffered again at exit (CliRunner never does)
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        src = os.path.dirname(os.path.dirname(cli_mod.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = {k: v for k, v in subprocess_env().items() if k != "PYTHONUNBUFFERED"}
         cmd = [sys.executable, "-c", "from vervaat.cli import main; main()", *args]
         with open("/dev/full", "w") as full:
             r = subprocess.run(cmd, stdout=full, stderr=subprocess.PIPE, env=env,
@@ -187,6 +187,18 @@ class TestOut:
         assert r.returncode == 2, r.stderr
         assert r.stderr.endswith("cannot write '-': No space left on device\n")
         assert "Exception ignored" not in r.stderr and "Traceback" not in r.stderr
+
+    @pytest.mark.skipif(shutil.which("sh") is None, reason="no sh")
+    @pytest.mark.parametrize("command", ["sample", "analyze"])
+    def test_a_closed_stdout_exits_2(self, command):
+        # `>&-` starts the interpreter without fd 1, so sys.stdout is None
+        cli = f"{shlex.quote(sys.executable)} -c 'from vervaat.cli import main; main()'"
+        r = subprocess.run(["sh", "-c", f"{cli} {command} --beta 1 >&-"],
+                           stderr=subprocess.PIPE, env=subprocess_env(), text=True,
+                           timeout=60)
+        assert r.returncode == 2, r.stderr
+        assert "cannot write '-': standard output is closed" in r.stderr
+        assert "Traceback" not in r.stderr
 
     def test_a_broken_pipe_is_left_to_click(self, monkeypatch):
         def broken(*args):
@@ -401,6 +413,23 @@ def test_short_commands_never_fork(monkeypatch):
     # the spy does see the workers of a batch large enough to split
     assert run("sample", "--beta", "1", "--n", "20000").exit_code == 0
     assert len(forks) == min(len(os.sched_getaffinity(0)), 2) - 1
+
+
+def subprocess_env():
+    """This environment, with the tree's ``src`` first on ``PYTHONPATH``."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cli_mod.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("module, frozen", [("vervaat", False), ("vervaat.cli", True)])
+def test_only_the_cli_freezes_the_import_heap(module, frozen):
+    code = f"import gc, {module}; print(gc.get_freeze_count())"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       env=subprocess_env(), text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert (int(r.stdout) > 0) == frozen
 
 
 def run_cleanly(*args):

@@ -1,9 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
+
+import vervaat.oracle as oracle
 
 from vervaat import (
     UniformStream,
@@ -41,6 +44,20 @@ class TestTruncatedSum:
         s = UniformStream(44, 2)
         scalar = np.array([truncated_sum_sample(p, 25, s) for _ in range(64)])
         assert np.allclose(batch, scalar, rtol=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.25, 1.0, 3.0])
+    @pytest.mark.parametrize("depth", [0, 1, 30, 1000, oracle._BLOCK_BYTES // 8 + 1])
+    def test_blocks_equal_one_whole_block(self, beta, depth):
+        # n spans several blocks and ends in a partial one; the reference
+        # draws the whole stream at once, bit for bit the same sums.  The
+        # last depth has rows larger than a block: one row per block.
+        p = make_params(beta)
+        rows = max(oracle._BLOCK_BYTES // (8 * max(depth, 1)), 1)
+        n = 2 * rows + 7 if depth else 10
+        got = truncated_sum_batch(p, depth, n, UniformStream(45, 3))
+        u = UniformStream(45, 3).uniforms(n * depth).reshape(n, depth)
+        want = np.cumprod(np.power(u, p.inv_beta), axis=1).sum(axis=1)
+        assert np.array_equal(got, want)
 
     def test_tail_bias_dickman_depth_40(self):
         assert truncation_bias(1.0, 40) == pytest.approx(2.0**-40, rel=1e-12)
@@ -111,6 +128,19 @@ class TestKsTwoSample:
         ours = ks_two_sample(a, b)
         assert ours == pytest.approx(scipy_stats.ks_2samp(a, b).statistic, abs=1e-12)
 
+    @pytest.mark.parametrize("size", [oracle._KS_CHUNK - 1, oracle._KS_CHUNK, 70_001])
+    def test_chunked_scan_equals_one_pass(self, size):
+        rng = np.random.Generator(np.random.Philox(key=(22, 0)))
+        a = rng.normal(size=size)
+        b = rng.normal(0.01, 1.0, size=oracle._KS_CHUNK + 1)
+        sa, sb = np.sort(a), np.sort(b)
+        want = max(
+            np.abs(np.searchsorted(sa, g, side="right") / sa.size
+                   - np.searchsorted(sb, g, side="right") / sb.size).max()
+            for g in (sa, sb)
+        )
+        assert ks_two_sample(a, b) == want
+
     def test_critical_value_constant(self):
         # c(0.01) ~ 1.628
         assert ks_critical_value(1, 1) / math.sqrt(2.0) == pytest.approx(
@@ -157,6 +187,16 @@ class TestValidateRun:
         names = [c.name for c in report.checks]
         assert "dickman_unit_mass" not in names
         assert report.passed
+
+    def test_memory_does_not_grow_with_depth(self):
+        # one 1 MiB series block at a time, KS scans in chunks, no copies
+        tracemalloc.start()
+        try:
+            validate_run(make_params(1.0), 10**4, 0, depth=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_dickman_with_explicit_depth_60(self):
         report = validate_run(make_params(1.0), 100_000, seed=SEED_ORACLE, depth=60)

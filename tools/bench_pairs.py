@@ -14,12 +14,14 @@ on both sides.  The runs inherit the caller's environment except
 reuse their bytecode alike, and a caller's setting cannot add source
 compilation to one side's ``setup_s`` or ``peak_rss_mb``.
 
-The output holds every run (its side, order, seed, correctness counts and
-metrics) and, per workload and end-to-end metric of ``BENCHMARK.json``,
-each side's median and quartiles, the pairs the head won (ties count for
-neither side), the change of the median in percent and whether that change
-exceeds the spread between the base's quartiles.  The exported trees are
-removed on exit.
+The output holds every run (its side, order, seed, correctness counts,
+metrics, and the median seconds of each phase of an invocation that
+``run.py`` prints: start, import, command and exit) and, per workload and
+end-to-end metric of ``BENCHMARK.json``, each side's median and quartiles,
+the pairs the head won (ties count for neither side), the change of the
+median in percent and whether that change exceeds the spread between the
+base's quartiles.  The phases are summarised the same way, lower being
+better.  The exported trees are removed on exit.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -35,6 +38,10 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+
+_PHASES = ("start", "import", "command", "exit")
+#: ``run.py``'s line for one phase, e.g. ``  phase exit       median 0.0213 s``.
+_PHASE = re.compile(r"^\s*phase (\w+)\s+median (\S+) s$", re.MULTILINE)
 
 
 def _git(*args: str) -> str:
@@ -54,8 +61,14 @@ def _export(rev: str, into: Path) -> Path:
     return into
 
 
+def parse_phases(stdout: str) -> dict[str, float]:
+    """The median seconds of each phase that a ``run.py`` run printed."""
+    return {name: float(value) for name, value in _PHASE.findall(stdout)}
+
+
 def _run(root: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One ``perfbench/run.py`` run from ``root``: its result line."""
+    """One ``perfbench/run.py`` run from ``root``: its result line, with the
+    phases it printed, if any, under ``"phases"``."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -65,7 +78,11 @@ def _run(root: Path, workload: str, seed: int, seconds: int) -> dict:
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{root}: run.py exited {proc.returncode}\n{proc.stderr}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    phases = parse_phases(proc.stdout)
+    if phases:
+        result["phases"] = phases
+    return result
 
 
 def _spread(values: list[float]) -> dict:
@@ -76,15 +93,16 @@ def _spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
-    """Per workload and metric (``name -> "higher" | "lower"``): medians,
-    quartiles, head wins over pairs and the change of the median."""
+def summarize(runs: list[dict], metrics: dict[str, str], field: str = "metrics") -> dict:
+    """Per workload and metric (``name -> "higher" | "lower"``) of each run's
+    ``field``: medians, quartiles, head wins over pairs and the change of
+    the median."""
     out: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs: dict[int, dict[str, dict]] = {}
         for r in runs:
             if r["workload"] == workload:
-                pairs.setdefault(r["pair"], {})[r["side"]] = r["metrics"]
+                pairs.setdefault(r["pair"], {})[r["side"]] = r[field]
         both = [p for p in pairs.values() if len(p) == 2]
         out[workload] = {}
         for name, better in metrics.items():
@@ -143,6 +161,7 @@ def main(argv: list[str] | None = None) -> int:
                         "correct": result["correct"], "attempted": result["attempted"],
                         "failed": result["failed"],
                         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+                        "phases": result.get("phases", {}),
                     })
                     print(f"{workload} pair {pair} {side}: "
                           + " ".join(f"{k}={runs[-1]['metrics'].get(k)}" for k in metrics),
@@ -163,6 +182,7 @@ def main(argv: list[str] | None = None) -> int:
             "platform": platform.platform(),
         },
         "summary": summarize(runs, metrics),
+        "phases": summarize(runs, dict.fromkeys(_PHASES, "lower"), "phases"),
         "runs": runs,
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
