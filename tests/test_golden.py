@@ -1,0 +1,80 @@
+"""Byte identity against recorded output: the sha256 of ``sample_many``'s rows
+for a fixed set of cases, with one worker and with two, and of two ``trace``
+runs.
+
+The other engine tests compare paths with each other (the lockstep with
+``run_ciaftp``, one worker with several), so a change made alike to both
+sides passes them; these hashes compare with the past.  They change only
+with a declared change of the output bytes, which re-records them.
+"""
+
+import hashlib
+import math
+import os
+import sys
+
+import pytest
+from click.testing import CliRunner
+
+import vervaat.engine as engine_mod
+from vervaat import make_params, sample_many
+from vervaat.cli import main
+
+#: (beta, n, seed, first_index) -> sha256 of values, steps and d0s.
+SAMPLES = {
+    (0.25, 100_000, 0, 0):
+        "aeef770e52061e07c1c277c981a6bec04608b27b8a03631c271558c1902f035f",
+    (1.0, 100_000, 0, 0):
+        "3a59b6da0f803b13768ddc93d33ee09052e73ab977de8af4e41266f9a557d89f",
+    (2.0, 2048, 0, 0):
+        "5edba7e871823d13c727aa2ca01d8da9ca376d3a2aa4eecf5ca71ca479b8ba2e",
+    (2.0, 512, 3, 0):
+        "7e7ce3b91884246bad00ad481091ecfc3017fb23b791b1bd9c1c360272610dcd",
+    (3.0, 400, 0, 0):
+        "0cfdc23d1a5940ce45abf1af53fdb50167b5505878a07d723608ec9399831b16",
+    (0.25, 511, 2, 2**64 - 511):
+        "ed8233cfc4f23f7d2f8226b68f18fb87a0dc406054928f40b6866bc5265115aa",
+    (0.5, 50_000, 1, 0):
+        "38a0fbd147baa9c567fccfff0c65fbfca1fff502d7e2af369943fc94b74d5b35",
+    (1.0, 20_000, 5, 2**63):
+        "2b7814f32918f574ec81bba2cd381293d9ad33f431e195179f07a142c6ee0a14",
+    # walks shorter than 128 steps on average, and longer
+    (1.8, 3000, 0, 0):
+        "a4625542c576f33b6c885009e841c7cb49d2caff3892215429222f0c98f548dc",
+    (2.2, 1024, 0, 0):
+        "3fea822dee80568450d27d5c186365d6e1375d9d7faf0ec186a9d1c815c7a931",
+}
+
+#: ``trace`` arguments -> sha256 of its output.
+TRACES = {
+    ("--beta", "0.25", "--seed", "0", "--index", "0"):
+        "39c5f4a232f6cc905bb764e1d11d52b572297054c462182d82c927a0b2a4c781",
+    ("--beta", "2", "--seed", "0", "--index", "17"):
+        "08942c2e0abae580da12b6726b1160689b0a497aaec037072e1155356574f82f",
+}
+
+
+def rows_digest(values, steps, d0s):
+    return hashlib.sha256(values.tobytes() + steps.tobytes() + d0s.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=pytest.mark.skipif(
+    sys.platform != "linux", reason="sample_many forks only on Linux"))])
+@pytest.mark.parametrize("case", list(SAMPLES), ids=str)
+def test_sample_many_bytes(case, workers, monkeypatch):
+    beta, n, seed, first_index = case
+    if workers == 1:
+        monkeypatch.setattr(engine_mod, "_FORK_WORK", math.inf)
+    else:
+        monkeypatch.setattr(engine_mod, "_FORK_WORK", 1e-9)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert engine_mod._workers(make_params(beta), n) == workers
+    got = sample_many(make_params(beta), n, seed, first_index=first_index)
+    assert rows_digest(*got) == SAMPLES[case]
+
+
+@pytest.mark.parametrize("args", list(TRACES), ids=" ".join)
+def test_trace_bytes(args):
+    r = CliRunner().invoke(main, ["trace", *args], catch_exceptions=False)
+    assert r.exit_code == 0
+    assert hashlib.sha256(r.stdout_bytes).hexdigest() == TRACES[args]
