@@ -22,15 +22,15 @@ at most 4096: the walk is a reflected (Lindley) random walk, so a chunk's
 states follow from a cumulative sum and minimum of its +-1 moves.  Where
 x0^beta < 128 (as at beta <= 2) it first takes 64 steps one at a time
 (``backward_extend``), so short walks touch no numpy.  ``sample_many``
-advances batches one step per round, reading uniforms through a
-``BlockCache``; a row that leaves the lockstep after k steps finishes its
-walk on ``run_ciaftp``'s path, which rolls it forward to X(-k), and the
-lockstep applies steps k .. 1 (see ``_backward``).  Every value that
-decides the output is the per-step code's.  Powers U ** (1/beta) of arrays
-go through ``np.float_power``, which is libm's ``pow`` element by element (a
-test pins it to ``**``); the forward pass reuses the W(1) that the lockstep
-and the chunks compute.  Logs go through numpy, with a libm fallback near
-integers (see ``streams``).
+advances batches one step per round through a ``BlockCache`` until fewer
+than 512 rows run, or for 64 rounds where x0^beta >= 128.  A row that
+leaves after k steps finishes its walk on ``run_ciaftp``'s path, which
+rolls it forward to X(-k), and the lockstep applies steps k .. 1 from the
+W(1) it kept.  Every value that decides the output is the per-step code's.
+Powers U ** (1/beta) of arrays go through ``np.float_power``, which is
+libm's ``pow`` element by element (a test pins it to ``**``); the forward
+pass reuses the W(1) that the lockstep and the chunks compute.  Logs go
+through numpy, with a libm fallback near integers (see ``streams``).
 
 ``sample_many`` is the one fan-out.  Where its rows hold enough work (rows
 times x0^beta, see ``_workers``), it forks workers, at most one per CPU this
@@ -48,7 +48,7 @@ import signal
 import sys
 import traceback
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -69,14 +69,12 @@ __all__ = [
 
 #: Samples advanced together in one lockstep batch.
 _BATCH_ROWS = 1 << 15
-#: Backward steps after which a sample still running resumes on the scalar
-#: path (a Dickman draw needs more than 64 steps with probability ~2e-5).
-_LOCKSTEP_DEPTH = 64
 #: Once fewer samples than this are running, the batch hands them to the
 #: scalar path, because a numpy round has a fixed cost of a few hundred
 #: microseconds; smaller batches run on the scalar path from the start.
 _MIN_ACTIVE = 512
-#: Backward steps the scalar path takes one at a time before it chunks.
+#: Steps the scalar path takes one at a time where x0^beta < 2 * 64, and
+#: lockstep rounds before rows leave for per-row chunks where it is not.
 _SCALAR_STEPS = 64
 #: Most steps in one chunk, backward or forward.
 _CHUNK_MAX = 4096
@@ -482,53 +480,51 @@ def _fan_out(params, n, seed, first, workers):
 def _sample_batch(params, stream, first, values, steps, d0s):
     """Fill the rows of substreams first, first + 1, ... in lockstep, with
     ``stream`` re-pointed, in row order, at each row handed off."""
-    index = np.arange(values.size, dtype=np.uint64) + np.uint64(first)
-    blocks = BlockCache(stream.seed, index)
-    hist, pos, handoff = _backward(params, blocks, values, steps, d0s)
-    for r, k, d in handoff:
-        if d is None:
+    blocks = BlockCache(stream.seed, np.arange(values.size, dtype=np.uint64) + np.uint64(first))
+    hist, reach, dk, pos = _backward(params, blocks, values, steps, d0s)
+    rows = np.flatnonzero(steps == 0)
+    for r, k, d in zip(rows.tolist(), reach[rows].tolist(), dk[rows].tolist()):
+        if d < 0:
             d = d0s[r] = draw_initial_dominating(params, stream.restart(first + r))
         else:
             stream.seek(2 * k + 1, first + r)
         res = _complete(params, BackwardPath([d]), stream, done=k)
         values[r], steps[r], pos[r] = res.value, res.steps, stream.position
-    _forward(params, blocks, hist, pos, values)
+    _forward(params, blocks, hist, reach, pos, values)
 
 
 def _backward(params, blocks, values, steps, d0s):
     """Backward phase of the rows of ``blocks``' substreams, in lockstep.
 
-    Writes each row's D(0) to ``d0s``, and T and X(-T+1) = W(-T)(2) of each
-    row that coalesces to ``steps`` and ``values``.  Returns ``(hist, pos,
-    handoff)``: ``hist[k - 1]`` holds (rows, W(-k)(1)) of the rows that take
-    step k forward, in ascending order, and ``pos`` a coalesced row's next
-    stream position.  ``handoff`` lists, in row order, (row, k, D(-k)) for
-    the rows left to the per-row path after k steps, their streams at
-    2k + 1, and (row, 0, None) for those to start there afresh: all rows of
-    a batch below :data:`_MIN_ACTIVE`, and those whose start drew a zero.
-    """
+    Writes each row's D(0) to ``d0s``, T and X(-T+1) = W(-T)(2) of each row
+    that coalesces to ``steps`` and ``values``, and 0 to the others' steps.
+    Returns ``(hist, reach, dk, pos)``: ``hist[k - 1]`` holds W(-k)(1) of
+    the rows whose ``reach`` (steps the lockstep takes forward) is >= k, in
+    ascending order; ``pos`` is a coalesced row's next stream position.  A
+    row left to the per-row path after k = reach steps has D(-k) in ``dk``
+    and its stream at 2k + 1, or -1 to start there afresh (a batch below
+    :data:`_MIN_ACTIVE`, or a start that drew a zero)."""
     m = values.size
     inv_beta = params.inv_beta
     hist, pos = [], np.zeros(m, np.int64)
+    reach, dk = np.zeros(m, np.int64), np.full(m, -1, np.int64)
+    steps[:] = 0
     if m < _MIN_ACTIVE:
-        return hist, pos, [(r, 0, None) for r in range(m)]
+        return hist, reach, dk, pos
     u = blocks.take(np.arange(m), 0)
     zero = u == 0.0  # the geometric start redraws it: restart these rows
-    handoff = [(r, 0, None) for r in np.flatnonzero(zero).tolist()]
     d0s[:] = params.x0 - 2 + _geometric_array(np.where(zero, 0.5, u))
     rows = np.flatnonzero(~zero)
     d = d0s[rows]
-    depth = min(_LOCKSTEP_DEPTH, params.step_budget)
+    long_walks = _power(params.x0, params.beta) >= 2 * _SCALAR_STEPS
+    depth = min(_SCALAR_STEPS if long_walks else params.step_budget, params.step_budget)
     k = 0
-    while rows.size:
-        if rows.size < _MIN_ACTIVE or k >= depth:
-            handoff += zip(rows.tolist(), repeat(k), d.tolist())
-            break
+    while rows.size >= _MIN_ACTIVE and k < depth:
         k += 1
         u_dir, u = blocks.take(rows, 2 * k - 1), blocks.take(rows, 2 * k)
         zero = u == 0.0  # the imputation redraws it: step k runs on the per-row path
         if zero.any():
-            handoff += zip(rows[zero].tolist(), repeat(k - 1), d[zero].tolist())
+            reach[rows[zero]], dk[rows[zero]] = k - 1, d[zero]
             keep = ~zero
             rows, d, u_dir, u = rows[keep], d[keep], u_dir[keep], u[keep]
         d_new = np.where(u_dir > TWO_THIRDS, d + 1, np.maximum(d - 1, params.x0 - 1))
@@ -536,22 +532,23 @@ def _backward(params, blocks, values, steps, d0s):
         w1 = np.float_power(u_imp, inv_beta)
         done = coupler_collapses(d_new, w1)
         c = rows[done]
-        steps[c], pos[c] = k, 2 * k + 2
+        steps[c], pos[c], reach[c] = k, 2 * k + 2, k - 1
         values[c] = np.float_power(blocks.take(c, 2 * k + 1), inv_beta)
         going = ~done
         rows, d = rows[going], d_new[going]
-        hist.append((rows, w1[going]))
-    handoff.sort()
-    return hist, pos, handoff
+        hist.append(w1[going])
+    reach[rows], dk[rows] = k, d
+    return hist, reach, dk, pos
 
 
-def _forward(params, blocks, hist, pos, x):
+def _forward(params, blocks, hist, reach, pos, x):
     """Forward steps of the rows in ``hist``, from the deepest step down,
     from the states in ``x``: X(-T+1) for a row that coalesced at T, X(-k)
     for one the per-row path finished after a hand-off at k.  A collapse
     takes the row's second driver from ``blocks`` at ``pos``, and advances it."""
     inv_beta = params.inv_beta
-    for r, w1 in reversed(hist):
+    for k in range(len(hist), 0, -1):
+        r, w1 = np.flatnonzero(reach >= k), hist[k - 1]
         xr = x[r]
         collapse = coupler_collapses(xr, w1)
         new = w1 * (1.0 + xr)

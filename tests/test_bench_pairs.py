@@ -1,5 +1,8 @@
-"""``tools/bench_pairs.summarize`` on hand-made runs; no subprocess starts."""
+"""``tools/bench_pairs``: the summary of hand-made runs, the parsing of
+what the runs print and of ``--sample``; no subprocess starts."""
 
+import argparse
+import json
 import os
 import subprocess
 import sys
@@ -104,3 +107,67 @@ def test_phases_are_summarised_like_metrics(summarize):
     s = summarize(rs, {"exit": "lower"}, "phases")["w"]["exit"]
     assert (s["pairs"], s["head_wins"]) == (3, 3)
     assert (s["base"]["median"], s["head"]["median"]) == (0.09, 0.02)
+
+
+@pytest.mark.parametrize("text, want", [("2:20000", (2.0, 20000)), ("2.2:2e4", (2.2, 20000)),
+                                        ("0.25:1", (0.25, 1))])
+def test_sample_cases_are_parsed(summarize, text, want):
+    assert sys.modules[summarize.__module__].parse_sample(text) == want
+
+
+@pytest.mark.parametrize("text", ["2", "2:3:4", "x:10", "0:10", "-1:10", "nan:10",
+                                  "2:0", "2:1.5", "2:inf", "2:"])
+def test_bad_sample_cases_are_refused(summarize, text):
+    bench_pairs = sys.modules[summarize.__module__]
+    with pytest.raises(argparse.ArgumentTypeError):
+        bench_pairs.parse_sample(text)
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--base", "HEAD", "--sample", text, "--out", "x.json"])
+
+
+def test_a_sample_run_times_the_sides_own_source(summarize, monkeypatch, tmp_path):
+    bench_pairs = sys.modules[summarize.__module__]
+    seen = {}
+
+    def fake_run(cmd, **kwargs):
+        seen["cmd"], seen["env"] = cmd, kwargs["env"]
+        return subprocess.CompletedProcess(
+            cmd, 0, stdout='{"wall_s": 0.5, "peak_rss_mb": 70.0}\n', stderr="")
+
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    got = bench_pairs._sample_run(tmp_path, 2.0, 20000, 7)
+    assert got == {"wall_s": 0.5, "peak_rss_mb": 70.0}
+    assert seen["cmd"][-3:] == ["2.0", "20000", "7"]
+    assert seen["env"]["PYTHONPATH"].split(os.pathsep) == [str(tmp_path / "src"), "elsewhere"]
+
+
+def test_the_sample_code_reports_time_and_memory(summarize):
+    """The code a ``--sample`` run executes, in this interpreter, on a
+    small case: it prints one JSON line with both metrics."""
+    import contextlib
+    import io
+
+    bench_pairs = sys.modules[summarize.__module__]
+    out = io.StringIO()
+    argv = sys.argv
+    try:
+        sys.argv = ["-c", "1.0", "10", "3"]
+        with contextlib.redirect_stdout(out):
+            exec(bench_pairs._SAMPLE_CODE, {})
+    finally:
+        sys.argv = argv
+    got = json.loads(out.getvalue())
+    assert set(got) == set(bench_pairs._SAMPLE_METRICS)
+    assert got["wall_s"] > 0 and got["peak_rss_mb"] > 1
+
+
+def test_sample_runs_are_summarised_lower_better(summarize):
+    bench_pairs = sys.modules[summarize.__module__]
+    rs = [{"workload": "2:20000", "pair": pair, "side": side,
+           "metrics": {"wall_s": wall, "peak_rss_mb": 70.0}}
+          for pair, both in enumerate([(1.5, 0.8), (1.6, 0.7), (1.4, 0.9)])
+          for side, wall in zip(("base", "head"), both)]
+    s = summarize(rs, bench_pairs._SAMPLE_METRICS)["2:20000"]
+    assert (s["wall_s"]["head_wins"], s["peak_rss_mb"]["head_wins"]) == (3, 0)
+    assert s["wall_s"]["change_pct"] == pytest.approx(-46.666, abs=1e-2)

@@ -293,8 +293,9 @@ class TestBatchedEngine:
 
     @pytest.fixture(autouse=True)
     def low_active_floor(self, monkeypatch, serial):
-        # lets a few hundred rows exercise the lockstep rounds, the handoff
-        # at the lockstep depth and the handoff of the last running rows
+        # lets a few hundred rows exercise the lockstep rounds, the hand-off
+        # after 64 steps where walks are long (beta = 3) and the hand-off of
+        # the last running rows
         monkeypatch.setattr(engine_mod, "_MIN_ACTIVE", 64)
 
     @pytest.mark.parametrize(
@@ -370,34 +371,33 @@ class TestBatchedEngine:
 class TestHandOff:
     """A row leaves the lockstep after k steps as (k, D(-k)); the per-row
     path finishes its walk and rolls it forward to X(-k) only, and the
-    lockstep applies steps k .. 1."""
+    lockstep applies steps k .. 1.  Where walks are long (x0^beta >= 128,
+    as at beta = 2.2: x0^beta = 195, first chunk 97), rows leave after 64
+    steps; short walks stay until fewer than _MIN_ACTIVE rows run."""
 
     @pytest.mark.parametrize("budget", [64, 65, 100, 200])
     def test_step_budget_counts_the_lockstep_steps(self, budget, monkeypatch):
-        # seed 62's first rows at beta = 2 have T = 26, 17, 2, 75, 72, 92,
-        # 146, 238: each budget's first abort lies past a few rows, and
-        # within budget + 64 steps of the hand-off at step 64
+        # seed 322's first rows at beta = 2.2 have T = 43, 23, 5, 116, 251:
+        # each budget's first abort lies past a few rows, and within
+        # budget + 64 steps of the hand-off at step 64
         monkeypatch.setattr(engine_mod, "_MIN_ACTIVE", 2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StepBudgetWarning)
-            params = make_params(2.0, step_budget=budget)
-        ref = [run_ciaftp(make_params(2.0), UniformStream(62, i)).steps for i in range(40)]
+            params = make_params(2.2, step_budget=budget)
+        ref = [run_ciaftp(make_params(2.2), UniformStream(322, i)).steps for i in range(40)]
         first = next(i for i, t in enumerate(ref) if t > budget)
-        assert first >= 3 and ref[first] <= budget + engine_mod._LOCKSTEP_DEPTH
-        assert_same_rows(sample_many(params, first, 62), per_row(params, first, 62))
+        assert first >= 3 and ref[first] <= budget + engine_mod._SCALAR_STEPS
+        assert_same_rows(sample_many(params, first, 322), per_row(params, first, 322))
         with pytest.raises(StepBudgetError) as err:
-            sample_many(params, 40, 62)
-        assert (err.value.seed, err.value.index) == (62, first)
+            sample_many(params, 40, 322)
+        assert (err.value.seed, err.value.index) == (322, first)
 
-    @pytest.mark.parametrize("min_active", [16, 128])
-    def test_resumed_rows_take_only_their_own_steps(self, min_active, monkeypatch, serial):
-        """Past the hand-off at k, a resumed row's backward steps and chunks
-        are the tail of run_ciaftp's own, and its forward pass takes
-        T - k - 1 first drivers.  The rows leave at the lockstep depth, or
-        earlier, once fewer than ``min_active`` are running."""
-        monkeypatch.setattr(engine_mod, "_MIN_ACTIVE", min_active)
-        params = make_params(2.0)
-        n, seed = 200, 62
+    @staticmethod
+    def spied_run(params, n, seed, monkeypatch):
+        """sample_many's rows with what happened to each row the per-row path
+        finished: the step ``done`` it was handed off at, the backward steps
+        (1) and chunks (("chunk", size)) it took there, what run_ciaftp takes
+        for that row alone, and the first drivers of its forward walk."""
         events, drivers, done_at = {}, {}, {}
         extend, chunk = engine_mod.backward_extend, engine_mod._backward_chunk
         complete, walk = engine_mod._complete, engine_mod._forward_walk
@@ -429,20 +429,87 @@ class TestHandOff:
         events.clear()
         want = per_row(params, n, seed)
         assert_same_rows(got, want)
-        steps = want[1]
+        return want[1], resumed, batched, events, forward
+
+    @staticmethod
+    def per_row_events(params, k, t):
+        """The steps and chunks the per-row path takes from step k to
+        coalescence at step t: single steps up to 64 where x0^beta < 128,
+        then chunks of at least x0^beta // 2 steps, as long as the walk so far."""
+        first = int(engine_mod._power(params.x0, params.beta)) // 2
+        prefix = engine_mod._SCALAR_STEPS if first < engine_mod._SCALAR_STEPS else 0
+        single = max(min(prefix, t) - k, 0)
+        done, sizes = k + single, []
+        while done + sum(sizes) < t:
+            sizes.append(min(max(done + sum(sizes), first), engine_mod._CHUNK_MAX))
+        return [1] * single + [("chunk", size) for size in sizes]
+
+    @pytest.mark.parametrize("min_active", [16, 128])
+    def test_resumed_rows_take_only_their_own_steps(self, min_active, monkeypatch, serial):
+        """Past the hand-off at k, a resumed row's backward steps and chunks
+        are the per-row path's from step k, from max(k, 97) steps at beta =
+        2.2, and its forward pass takes T - k - 1 first drivers.  The rows
+        leave after 64 steps, or earlier, once fewer than ``min_active`` run."""
+        monkeypatch.setattr(engine_mod, "_MIN_ACTIVE", min_active)
+        params = make_params(2.2)
+        steps, resumed, batched, events, forward = self.spied_run(params, 150, 62, monkeypatch)
         assert len(resumed) >= 20
-        depth = engine_mod._LOCKSTEP_DEPTH
+        depth = engine_mod._SCALAR_STEPS
         if min_active == 16:
             assert set(resumed.values()) == {depth}
         else:
             assert max(resumed.values()) < depth
         for i, k in resumed.items():
             assert forward[i] == steps[i] - k - 1, i
-            # the first k per-row steps of run_ciaftp are the lockstep's
-            assert events[i][:k] == [1] * k
-            assert batched.get(i, []) == events[i][k:], i
-        assert any(("chunk", 64) in events[i] for i in resumed)
+            # run_ciaftp chunks from step 0; the resumed row from step k
+            assert events[i] == self.per_row_events(params, 0, steps[i]), i
+            assert batched.get(i, []) == self.per_row_events(params, k, steps[i]), i
+        # the chunk at the hand-off: max(k, 97) steps
+        assert {batched[i][0] for i in resumed} == {("chunk", 97)}
 
+    @pytest.mark.parametrize("min_active", [16, 128])
+    def test_short_walks_stay_while_enough_rows_run(self, min_active, monkeypatch, serial):
+        """At beta = 2 (x0^beta = 100) no row resumes while at least
+        ``min_active`` run: the rows still running at the first step k where
+        fewer do all resume at k, past step 64 for 16 of 200 rows."""
+        monkeypatch.setattr(engine_mod, "_MIN_ACTIVE", min_active)
+        params = make_params(2.0)
+        steps, resumed, batched, events, forward = self.spied_run(params, 200, 62, monkeypatch)
+        k = next(k for k in range(int(steps.max()) + 1) if (steps > k).sum() < min_active)
+        assert resumed == {i: k for i in np.flatnonzero(steps > k).tolist()}
+        assert k > engine_mod._SCALAR_STEPS if min_active == 16 else k < engine_mod._SCALAR_STEPS
+        for i in resumed:
+            assert forward[i] == steps[i] - k - 1, i
+            assert events[i] == self.per_row_events(params, 0, steps[i]), i
+            assert batched[i] == self.per_row_events(params, k, steps[i]), i
+
+    def test_a_budget_below_the_longest_walk_aborts_from_the_lockstep(self, monkeypatch, serial):
+        # seed 62's first rows at beta = 2 have T = 26, 17, 2, 75, 72, 92,
+        # 146, 238: row 7 is the first past 150, and it runs in the lockstep
+        # to step 150 beside the other long walks of 40 rows
+        monkeypatch.setattr(engine_mod, "_MIN_ACTIVE", 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StepBudgetWarning)
+            params = make_params(2.0, step_budget=150)
+        ref = per_row(make_params(2.0), 40, 62)[1]
+        first = int(np.argmax(ref > 150))
+        assert first == 7 and (ref > 150).sum() >= 2
+        done_at, stepped = {}, set()
+        complete = engine_mod._complete
+
+        def complete_spy(params_, path, stream, *args, done=0):
+            done_at[stream.index] = done
+            return complete(params_, path, stream, *args, done=done)
+
+        monkeypatch.setattr(engine_mod, "_complete", complete_spy)
+        monkeypatch.setattr(engine_mod, "backward_extend",
+                            lambda p, path, stream: stepped.add(stream.index))
+        monkeypatch.setattr(engine_mod, "_backward_chunk",
+                            lambda p, d, stream, k: stepped.add(stream.index))
+        with pytest.raises(StepBudgetError) as err:
+            sample_many(params, 40, 62)
+        assert (err.value.seed, err.value.index) == (62, first)
+        assert done_at == {first: 150} and not stepped
 
     @pytest.mark.parametrize("offset", [-1, 0])
     def test_at_the_real_active_floor(self, dickman, offset):

@@ -1,7 +1,7 @@
 """Record alternating benchmark runs of two commits in one JSON file.
 
     python3 tools/bench_pairs.py --base <commit> --workload dickman \
-        --workload deep --pairs 10 --out BENCH_<n>.json
+        --workload deep --sample 2:20000 --pairs 10 --out BENCH_<n>.json
 
 Run it from the repository root of a clean working tree (untracked files
 aside): the head side is ``HEAD``.  The base commit and ``HEAD`` are each
@@ -9,7 +9,10 @@ exported into a temporary directory with ``git archive``.  For each workload
 and pair, ``perfbench/run.py --workload W --seed S --seconds R`` then runs
 once from each side's root, the two sides taking turns at going first; R is
 ``run_seconds`` of ``BENCHMARK.json``.  Pair k runs with seed ``--seed + k``
-on both sides.  The runs inherit the caller's environment except
+on both sides.  Each ``--sample BETA:N`` pair likewise times one
+``sample_many(make_params(BETA), N, S)``, as shipped, in a fresh interpreter
+from each side's ``src``, recording its wall time and the interpreter's peak
+RSS (``ru_maxrss``): engine changes at a beta no workload runs.  The runs inherit the caller's environment except
 ``PYTHONDONTWRITEBYTECODE``, which is removed: both sides then write and
 reuse their bytecode alike, and a caller's setting cannot add source
 compilation to one side's ``setup_s`` or ``peak_rss_mb``.
@@ -21,7 +24,8 @@ end-to-end metric of ``BENCHMARK.json``, each side's median and quartiles,
 the pairs the head won (ties count for neither side), the change of the
 median in percent and whether that change exceeds the spread between the
 base's quartiles.  The phases are summarised the same way, lower being
-better.  The exported trees are removed on exit.
+better, and so are the ``--sample`` runs, under ``sample``.  The exported
+trees are removed on exit.
 """
 
 from __future__ import annotations
@@ -42,6 +46,19 @@ from pathlib import Path
 _PHASES = ("start", "import", "command", "exit")
 #: ``run.py``'s line for one phase, e.g. ``  phase exit       median 0.0213 s``.
 _PHASE = re.compile(r"^\s*phase (\w+)\s+median (\S+) s$", re.MULTILINE)
+#: What a ``--sample`` run records, lower being better.
+_SAMPLE_METRICS = {"wall_s": "lower", "peak_rss_mb": "lower"}
+#: One ``--sample`` run: argv is BETA, N and the seed.
+_SAMPLE_CODE = """\
+import json, resource, sys, time
+from vervaat import make_params, sample_many
+params, n, seed = make_params(float(sys.argv[1])), int(sys.argv[2]), int(sys.argv[3])
+t0 = time.perf_counter()
+sample_many(params, n, seed)
+wall = time.perf_counter() - t0
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"wall_s": wall, "peak_rss_mb": rss}))
+"""
 
 
 def _git(*args: str) -> str:
@@ -66,10 +83,38 @@ def parse_phases(stdout: str) -> dict[str, float]:
     return {name: float(value) for name, value in _PHASE.findall(stdout)}
 
 
+def parse_sample(text: str) -> tuple[float, int]:
+    """``BETA:N`` of ``--sample`` as (beta, n), N also as ``2e4``."""
+    try:
+        beta, n = (float(part) for part in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected BETA:N, got {text!r}") from None
+    if not (beta > 0 and n >= 1 and n.is_integer()):
+        raise argparse.ArgumentTypeError(f"need beta > 0 and a whole N >= 1, got {text!r}")
+    return beta, int(n)
+
+
+def _env() -> dict[str, str]:
+    return {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+
+
+def _sample_run(root: Path, beta: float, n: int, seed: int) -> dict:
+    """One ``--sample`` run from ``root``'s ``src``: its wall time and peak RSS."""
+    env = _env()
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SAMPLE_CODE, repr(beta), str(n), str(seed)],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"{root}: sample run exited {proc.returncode}\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def _run(root: Path, workload: str, seed: int, seconds: int) -> dict:
     """One ``perfbench/run.py`` run from ``root``: its result line, with the
     phases it printed, if any, under ``"phases"``."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env = _env()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
@@ -129,13 +174,17 @@ def summarize(runs: list[dict], metrics: dict[str, str], field: str = "metrics")
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="Commit to compare against.")
-    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--workload", action="append", default=[])
+    parser.add_argument("--sample", action="append", default=[], type=parse_sample,
+                        metavar="BETA:N", help="Time sample_many at BETA with N rows.")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", required=True, help="Output path (BENCH_<n>.json).")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    if not args.workload and not args.sample:
+        parser.error("give at least one --workload or --sample")
     if _git("status", "--porcelain", "--untracked-files=no"):
         parser.error("the working tree has uncommitted changes; commit them first")
     root = Path(_git("rev-parse", "--show-toplevel"))
@@ -145,6 +194,7 @@ def main(argv: list[str] | None = None) -> int:
     head_rev = _git("rev-parse", "HEAD")
     seconds = spec["run_seconds"]
     runs: list[dict] = []
+    sample_runs: list[dict] = []
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
         sides = {"base": _export(base_rev, tmp / "base"),
@@ -166,6 +216,17 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{workload} pair {pair} {side}: "
                           + " ".join(f"{k}={runs[-1]['metrics'].get(k)}" for k in metrics),
                           flush=True)
+        for beta, n in args.sample:
+            name = f"{beta:g}:{n}"
+            for pair in range(args.pairs):
+                seed = args.seed + pair
+                order = ("base", "head") if pair % 2 == 0 else ("head", "base")
+                for position, side in enumerate(order):
+                    result = _sample_run(sides[side], beta, n, seed)
+                    sample_runs.append({"workload": name, "pair": pair, "side": side,
+                                        "first": position == 0, "seed": seed,
+                                        "metrics": result})
+                    print(f"sample {name} pair {pair} {side}: {result}", flush=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     record = {
@@ -183,7 +244,9 @@ def main(argv: list[str] | None = None) -> int:
         },
         "summary": summarize(runs, metrics),
         "phases": summarize(runs, dict.fromkeys(_PHASES, "lower"), "phases"),
+        "sample": summarize(sample_runs, _SAMPLE_METRICS),
         "runs": runs,
+        "sample_runs": sample_runs,
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0
