@@ -46,8 +46,8 @@ _CSV_NUMPY_MIN = 200
 #: Largest ``analyze --truncation``: the solve holds a few arrays of this
 #: length, and the bracket reaches the solver tolerance by about 50.
 _MAX_TRUNCATION = 10_000
-#: Largest ``sample --n``: a run holds about 24 bytes per row, so about
-#: 2.4 GB at this size.
+#: Largest ``sample --n``: a run holds 24 bytes per row over a fixed 65 MB
+#: (294 MB at n = 10^7), so about 2.4 GB at this size.
 _MAX_SAMPLE_N = 10**8
 #: Largest ``validate --n``: a run holds about 45 bytes per row over a fixed
 #: 60 MB (105 MB at n = 10^6), so about 0.5 GB at this size.

@@ -35,9 +35,9 @@ through numpy, with a libm fallback near integers (see ``streams``).
 ``sample_many`` is the one fan-out.  Where its rows hold enough work (rows
 times x0^beta, see ``_workers``), it forks workers, at most one per CPU this
 process may use, and each fills a contiguous range of rows in shared memory,
-about 24 bytes per row in all.  A row depends only on its substream, so the output
-is byte-identical per (seed, libm) whatever the worker count, and no worker
-outlives the call.
+24 bytes per row in all; a lockstep batch adds 8 bytes per row and step it
+takes.  A row depends only on its substream, so the output is byte-identical
+per (seed, libm) whatever the worker count, and no worker outlives the call.
 """
 
 from __future__ import annotations
