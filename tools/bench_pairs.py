@@ -12,7 +12,8 @@ once from each side's root, the two sides taking turns at going first; R is
 on both sides.  Each ``--sample BETA:N`` pair likewise times one
 ``sample_many(make_params(BETA), N, S)``, as shipped, in a fresh interpreter
 from each side's ``src``, recording its wall time and the interpreter's peak
-RSS (``ru_maxrss``): engine changes at a beta no workload runs.  The runs inherit the caller's environment except
+RSS (``ru_maxrss``), so that engine changes show at a beta no workload runs.
+The runs inherit the caller's environment except
 ``PYTHONDONTWRITEBYTECODE``, which is removed: both sides then write and
 reuse their bytecode alike, and a caller's setting cannot add source
 compilation to one side's ``setup_s`` or ``peak_rss_mb``.
