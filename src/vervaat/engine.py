@@ -70,8 +70,9 @@ __all__ = [
 #: Samples advanced together in one lockstep batch.
 _BATCH_ROWS = 1 << 15
 #: Once fewer samples than this are running, the batch hands them to the
-#: scalar path, because a numpy round has a fixed cost of a few hundred
-#: microseconds; smaller batches run on the scalar path from the start.
+#: scalar path (for short walks the one exit short of the budget), because a
+#: numpy round has a fixed cost of a few hundred microseconds; smaller
+#: batches run on the scalar path from the start.
 _MIN_ACTIVE = 512
 #: Steps the scalar path takes one at a time where x0^beta < 2 * 64, and
 #: lockstep rounds before rows leave for per-row chunks where it is not.
