@@ -385,6 +385,7 @@ def analyze(beta, truncation, out):
         bracket = absorption_bracket(params, truncation)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    gc.freeze()  # what the first solve imported (scipy.linalg) is kept to exit too
     payload = {
         "beta": params.beta,
         "x0": params.x0,
@@ -467,8 +468,9 @@ def trace(beta, seed, index, out):
     _write(out, ["\n".join(lines) + "\n"])
 
 
-# The objects that numpy, scipy and click made at import live until exit;
-# frozen, no collection (and not the final one) traverses them again.
+# The objects that numpy and click made at import live until exit; frozen, no
+# collection (and not the final one) traverses them again.  scipy.linalg is
+# imported by `analyze`'s first solve, which freezes once more.
 gc.freeze()
 
 if __name__ == "__main__":

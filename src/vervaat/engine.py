@@ -263,8 +263,10 @@ def _backward_chunked(params, path, stream, collect_path, first, done):
     the W(1) of all its steps as an array.  ``path`` itself is extended only
     for ``collect_path``."""
     u = path.imputed_u
-    parts = [(np.array(path.d_states[1:], dtype=np.int64), np.array(u),
-              np.float_power(u, params.inv_beta))]
+    w = [np.float_power(u, params.inv_beta)]
+    # D and U are kept only for collect_path: a walk that held them too grew
+    # the heap threefold, and freed it at the end of every row.
+    states, imputed = [np.array(path.d_states[1:], dtype=np.int64)], [np.array(u)]
     t, d, t_coal = len(u), path.d_states[-1], None
     while t_coal is None:
         k = min(max(done + t, first), _CHUNK_MAX, params.step_budget - done - t)
@@ -273,9 +275,11 @@ def _backward_chunked(params, path, stream, collect_path, first, done):
         d_k, u_k, w_k, j = _backward_chunk(params, d, stream, k)
         if j is not None:
             d_k, u_k, w_k, t_coal = d_k[: j + 1], u_k[: j + 1], w_k[: j + 1], t + j + 1
-        parts.append((d_k, u_k, w_k))
+        w.append(w_k)
+        if collect_path:
+            states.append(d_k)
+            imputed.append(u_k)
         t, d = t + u_k.size, int(d_k[-1])
-    states, imputed, w = zip(*parts)
     if collect_path:
         path.d_states[1:] = np.concatenate(states).tolist()
         path.imputed_u[:] = np.concatenate(imputed).tolist()

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+import scipy
 
 from .updates import VervaatParams, _power
 
@@ -136,7 +136,7 @@ def _solve_hitting_times(p_up, p_down, boundary: float) -> np.ndarray:
     ab[2, :-1] = -p_down[1:]
     rhs = np.ones(n)
     rhs[-1] += p_up[-1] * boundary
-    return solve_banded((1, 1), ab, rhs)
+    return scipy.linalg.solve_banded((1, 1), ab, rhs)
 
 
 def absorption_bracket(params: VervaatParams, truncation: int) -> AbsorptionBracket:

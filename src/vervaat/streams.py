@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 _LN2 = math.log(2.0)
 _MASK64 = (1 << 64) - 1
@@ -67,9 +68,7 @@ class UniformStream:
         self.position = 0
         # A uint64 array, not a tuple: numpy would round a tuple holding a
         # seed >= 2^63 through float64.
-        self._gen = np.random.Generator(
-            np.random.Philox(key=np.array([self.seed, self.index], dtype=np.uint64))
-        )
+        self._gen = Generator(Philox(key=np.array([self.seed, self.index], dtype=np.uint64)))
         self._buf: list[float] = []
         self._i = 0
         # Buffered blocks grow with consumption so short-lived streams

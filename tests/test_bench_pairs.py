@@ -138,28 +138,51 @@ def test_a_sample_run_times_the_sides_own_source(summarize, monkeypatch, tmp_pat
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
     got = bench_pairs._sample_run(tmp_path, 2.0, 20000, 7)
     assert got == {"wall_s": 0.5, "peak_rss_mb": 70.0}
-    assert seen["cmd"][-3:] == ["2.0", "20000", "7"]
+    assert seen["cmd"][-4:] == ["2.0", "20000", "7", str(bench_pairs._SAMPLE_CALLS)]
+    assert bench_pairs._SAMPLE_CALLS >= 3  # the median of at least two calls after the first
     assert seen["env"]["PYTHONPATH"].split(os.pathsep) == [str(tmp_path / "src"), "elsewhere"]
 
 
-def test_the_sample_code_reports_time_and_memory(summarize):
+def test_the_sample_code_reports_time_and_memory(summarize, monkeypatch):
     """The code a ``--sample`` run executes, in this interpreter, on a
-    small case: it prints one JSON line with both metrics."""
+    small case: it makes the calls it is told to, the first one timed
+    apart, and prints one JSON line with every metric."""
     import contextlib
     import io
 
+    import vervaat
+
     bench_pairs = sys.modules[summarize.__module__]
+    calls, sample_many = [], vervaat.sample_many
+    monkeypatch.setattr(vervaat, "sample_many",
+                        lambda *a: calls.append(a[1:]) or sample_many(*a))
     out = io.StringIO()
-    argv = sys.argv
-    try:
-        sys.argv = ["-c", "1.0", "10", "3"]
-        with contextlib.redirect_stdout(out):
-            exec(bench_pairs._SAMPLE_CODE, {})
-    finally:
-        sys.argv = argv
+    monkeypatch.setattr(sys, "argv", ["-c", "1.0", "10", "3", "4"])
+    with contextlib.redirect_stdout(out):
+        exec(bench_pairs._SAMPLE_CODE, {})
+    assert calls == [(10, 3)] * 4
     got = json.loads(out.getvalue())
-    assert set(got) == set(bench_pairs._SAMPLE_METRICS)
-    assert got["wall_s"] > 0 and got["peak_rss_mb"] > 1
+    assert set(got) == set(bench_pairs._SAMPLE_METRICS) == {"first_s", "wall_s", "peak_rss_mb"}
+    assert got["first_s"] > 0 and got["wall_s"] > 0 and got["peak_rss_mb"] > 1
+
+
+def test_the_first_call_is_timed_apart_from_the_median_of_the_rest(summarize, monkeypatch):
+    import contextlib
+    import io
+    import time
+
+    import vervaat
+
+    bench_pairs = sys.modules[summarize.__module__]
+    clock = iter([0, 5, 10, 11, 20, 23, 30, 32])  # calls of 5, 1, 3 and 2 s
+    monkeypatch.setattr(time, "perf_counter", lambda: next(clock))
+    monkeypatch.setattr(vervaat, "sample_many", lambda *a: None)
+    monkeypatch.setattr(sys, "argv", ["-c", "1.0", "10", "3", "4"])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(bench_pairs._SAMPLE_CODE, {})
+    got = json.loads(out.getvalue())
+    assert (got["first_s"], got["wall_s"]) == (5, 2)
 
 
 def test_sample_runs_are_summarised_lower_better(summarize):

@@ -144,3 +144,13 @@ def test_output_matches_the_recorded_digest(command):
     r = CliRunner().invoke(main, command.split(), catch_exceptions=False)
     assert r.exit_code == 0
     assert hashlib.sha256(r.stdout_bytes).hexdigest() == recorded
+
+
+def test_analyze_in_a_fresh_interpreter_matches_the_recorded_digest():
+    """``analyze`` loads its solver on first use; in a process that has not
+    loaded it yet, the bytes are still the recorded ones."""
+    recorded = json.loads((ROOT / "perfbench" / "digests.json").read_text())["analyze --beta 1"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    r = subprocess.run([sys.executable, "-m", "vervaat.cli", "analyze", "--beta", "1"],
+                       env=env, capture_output=True, check=True, timeout=60)
+    assert hashlib.sha256(r.stdout).hexdigest() == recorded

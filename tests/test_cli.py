@@ -432,6 +432,40 @@ def test_only_the_cli_freezes_the_import_heap(module, frozen):
     assert (int(r.stdout) > 0) == frozen
 
 
+#: What ``import vervaat.cli`` loads: scipy itself, and numpy.random, which
+#: numpy 2 would otherwise load on the first stream, inside a command.  What it
+#: does not: scipy.linalg, which only ``analyze`` needs, and what scipy's
+#: array-API shim would bring with it.
+_CLI_IMPORTS = {"scipy", "numpy.random"}
+_CLI_DEFERS = {"scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.ma"}
+
+
+def test_the_cli_import_leaves_the_solver_out():
+    code = "import json, sys, vervaat.cli; print(json.dumps(sorted(sys.modules)))"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       env=subprocess_env(), text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    loaded = set(json.loads(r.stdout))
+    assert _CLI_IMPORTS <= loaded
+    assert not _CLI_DEFERS & loaded
+
+
+@pytest.mark.parametrize("args", [("sample", "--beta", "1", "--n", "10"),
+                                  ("trace", "--beta", "1"),
+                                  ("validate", "--beta", "1", "--n", "10000")])
+def test_short_commands_import_nothing_while_they_run(args, tmp_path):
+    """Every module these commands use is loaded before they start, so none
+    is timed as part of the command; a fan-out would add only ``mmap``."""
+    code = ("import json, sys, vervaat.cli\n"
+            "before = set(sys.modules)\n"
+            "vervaat.cli.main(sys.argv[1:], standalone_mode=False)\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    r = subprocess.run([sys.executable, "-c", code, *args, "--out", str(tmp_path / "out")],
+                       capture_output=True, env=subprocess_env(), text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert set(json.loads(r.stdout)) <= {"mmap"}
+
+
 def run_cleanly(*args):
     """Invoke the CLI and assert it ends in a documented exit code with no
     traceback; return the result."""

@@ -9,10 +9,11 @@ exported into a temporary directory with ``git archive``.  For each workload
 and pair, ``perfbench/run.py --workload W --seed S --seconds R`` then runs
 once from each side's root, the two sides taking turns at going first; R is
 ``run_seconds`` of ``BENCHMARK.json``.  Pair k runs with seed ``--seed + k``
-on both sides.  Each ``--sample BETA:N`` pair likewise times one
-``sample_many(make_params(BETA), N, S)``, as shipped, in a fresh interpreter
-from each side's ``src``, recording its wall time and the interpreter's peak
-RSS (``ru_maxrss``), so that engine changes show at a beta no workload runs.
+on both sides.  Each ``--sample BETA:N`` pair likewise times
+``sample_many(make_params(BETA), N, S)``, as shipped, :data:`_SAMPLE_CALLS`
+times in a fresh interpreter from each side's ``src``, recording the wall time
+of the first call, the median of the others and the interpreter's peak RSS
+(``ru_maxrss``), so that engine changes show at a beta no workload runs.
 The runs inherit the caller's environment except
 ``PYTHONDONTWRITEBYTECODE``, which is removed: both sides then write and
 reuse their bytecode alike, and a caller's setting cannot add source
@@ -47,18 +48,25 @@ from pathlib import Path
 _PHASES = ("start", "import", "command", "exit")
 #: ``run.py``'s line for one phase, e.g. ``  phase exit       median 0.0213 s``.
 _PHASE = re.compile(r"^\s*phase (\w+)\s+median (\S+) s$", re.MULTILINE)
-#: What a ``--sample`` run records, lower being better.
-_SAMPLE_METRICS = {"wall_s": "lower", "peak_rss_mb": "lower"}
-#: One ``--sample`` run: argv is BETA, N and the seed.
+#: ``sample_many`` calls per ``--sample`` run: one call of a short case is at
+#: the mercy of noise, and the first call also pays for first use.
+_SAMPLE_CALLS = 5
+#: What a ``--sample`` run records, lower being better: the first call's wall
+#: time, the median wall time of the other calls, and the peak RSS.
+_SAMPLE_METRICS = {"first_s": "lower", "wall_s": "lower", "peak_rss_mb": "lower"}
+#: One ``--sample`` run: argv is BETA, N, the seed and the number of calls.
 _SAMPLE_CODE = """\
-import json, resource, sys, time
+import json, resource, statistics, sys, time
 from vervaat import make_params, sample_many
 params, n, seed = make_params(float(sys.argv[1])), int(sys.argv[2]), int(sys.argv[3])
-t0 = time.perf_counter()
-sample_many(params, n, seed)
-wall = time.perf_counter() - t0
+walls = []
+for _ in range(int(sys.argv[4])):
+    t0 = time.perf_counter()
+    sample_many(params, n, seed)
+    walls.append(time.perf_counter() - t0)
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"wall_s": wall, "peak_rss_mb": rss}))
+print(json.dumps({"first_s": walls[0], "wall_s": statistics.median(walls[1:]),
+                  "peak_rss_mb": rss}))
 """
 
 
@@ -100,11 +108,12 @@ def _env() -> dict[str, str]:
 
 
 def _sample_run(root: Path, beta: float, n: int, seed: int) -> dict:
-    """One ``--sample`` run from ``root``'s ``src``: its wall time and peak RSS."""
+    """One ``--sample`` run from ``root``'s ``src``: its wall times and peak RSS."""
     env = _env()
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _SAMPLE_CODE, repr(beta), str(n), str(seed)],
+        [sys.executable, "-c", _SAMPLE_CODE, repr(beta), str(n), str(seed),
+         str(_SAMPLE_CALLS)],
         cwd=root, env=env, capture_output=True, text=True,
     )
     if proc.returncode != 0:
