@@ -35,9 +35,12 @@ through numpy, with a libm fallback near integers (see ``streams``).
 ``sample_many`` is the one fan-out.  Where its rows hold enough work (rows
 times x0^beta, see ``_workers``), it forks workers, at most one per CPU this
 process may use, and each fills a contiguous range of rows in shared memory,
-24 bytes per row in all; a lockstep batch adds 8 bytes per row and step it
-takes.  A row depends only on its substream, so the output is byte-identical
-per (seed, libm) whatever the worker count, and no worker outlives the call.
+24 bytes per row in all.  A lockstep batch adds about 135 bytes per row at
+beta = 1 (its cache, its per-row state, and 8 bytes per row and step it
+takes), and Philox's temporaries add about 0.8 MB whatever the batch size, as
+``BlockCache`` hands Philox at most ``streams._TILE_KEYS`` keys at a time.  A
+row depends only on its substream, so the output is byte-identical per (seed,
+libm) whatever the worker count, and no worker outlives the call.
 """
 
 from __future__ import annotations
@@ -532,9 +535,15 @@ def _backward(params, blocks, values, steps, d0s):
             reach[rows[zero]], dk[rows[zero]] = k - 1, d[zero]
             keep = ~zero
             rows, d, u_dir, u = rows[keep], d[keep], u_dir[keep], u[keep]
-        d_new = np.where(u_dir > TWO_THIRDS, d + 1, np.maximum(d - 1, params.x0 - 1))
-        u_imp = np.where(d == d_new + 1, TWO_THIRDS + u / 3.0, TWO_THIRDS * u)
-        w1 = np.float_power(u_imp, inv_beta)
+        d_new = np.maximum(d - 1, params.x0 - 1)
+        np.add(d, 1, out=d_new, where=u_dir > TWO_THIRDS)
+        # the imputation and its W(1) in u: 2/3 + u/3 where the forward
+        # move D(-k) -> D(-k+1) is up (d_new < d), (2/3) u elsewhere
+        u_up = np.divide(u, 3.0, out=u_dir)
+        u_up += TWO_THIRDS
+        u *= TWO_THIRDS
+        np.copyto(u, u_up, where=d_new < d)
+        w1 = np.float_power(u, inv_beta, out=u)
         done = coupler_collapses(d_new, w1)
         c = rows[done]
         steps[c], pos[c], reach[c] = k, 2 * k + 2, k - 1

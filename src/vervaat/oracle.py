@@ -53,8 +53,10 @@ _ORACLE_STREAM_INDEX = 1 << 62
 _BLOCK_BYTES = 1 << 20
 
 #: Grid points per searchsorted scan of :func:`ks_two_sample`; the same
-#: kind of bound, on its n-length temporaries.
-_KS_CHUNK = 1 << 16
+#: kind of bound, on its n-length temporaries.  On ``validate --n 1e5``,
+#: 8192 lowered the peak RSS by about 1 MB from 65,536 at no cost in time;
+#: 4096 and 16,384 read the same as 8192.
+_KS_CHUNK = 1 << 13
 
 
 def truncated_sum_batch(
@@ -222,7 +224,7 @@ def validate_run(
         raise ValueError(f"n must be at least 10^4, got {n}")
     from .streams import UniformStream
 
-    values, steps, _ = sample_many(params, n, seed)
+    values, steps = sample_many(params, n, seed)[:2]  # D(0) is dropped at once
     if depth is None:
         depth = oracle_depth(params.beta)
     oracle_values = truncated_sum_batch(
@@ -252,6 +254,7 @@ def validate_run(
             checks.append(
                 _check(name, abs(freq - target), max(tol, 5.0 * se), (n,))
             )
+        del steps
         unit_mass = float(((values > 0.0) & (values <= 1.0)).mean())
         target = math.exp(-EULER_GAMMA)
         se = math.sqrt(target * (1.0 - target) / n)

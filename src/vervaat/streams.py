@@ -44,6 +44,9 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _SHIFT11 = np.uint64(11)
 _TWO_M53 = 1.0 / 9007199254740992.0
+#: Most keys per :func:`philox_block` call of :class:`BlockCache`: its dozen
+#: uint64 temporaries then take about 100 bytes a key of this, not of a batch.
+_TILE_KEYS = 1 << 13
 
 
 def _check_index(index: int) -> int:
@@ -214,16 +217,24 @@ def philox_block(seed: int, index, block) -> np.ndarray:
     k1 = np.array(index, dtype=np.uint64)
     k0 = int(seed) & _MASK64
     n = len(k1)
-    x0 = np.empty(n, dtype=np.uint64)
-    x0[:] = np.asarray(block, dtype=np.uint64) + np.uint64(1)
-    x1, x2, x3 = (np.zeros(n, dtype=np.uint64) for _ in range(3))
-    h0, h1, t, w = (np.empty(n, dtype=np.uint64) for _ in range(4))
+    x0, h0, h1, t, w = (np.empty(n, dtype=np.uint64) for _ in range(5))
     (m0, m1), (w0, w1) = _PHILOX_M, _PHILOX_W
     m0_lo, m0_hi = np.uint64(m0 & 0xFFFFFFFF), np.uint64(m0 >> 32)
     m1_lo, m1_hi = np.uint64(m1 & 0xFFFFFFFF), np.uint64(m1 >> 32)
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            k1 += np.uint64(w1)
+    # Rounds 0 and 1, folded.  Words 1-3 of the counter c are 0, so round 0
+    # gives (k0, 0, hi(c m0) ^ k1, lo(c m0)), and in round 1 only word 2
+    # needs an array product: k0 m0 is one scalar.
+    c = (np.array(block, dtype=np.uint64, ndmin=1) + np.uint64(1))[:n]
+    x2 = _mulhi(c, m0_lo, m0_hi, t[: c.size], w[: c.size], h0[: c.size]) ^ k1
+    k1 += np.uint64(w1)
+    _mulhi(x2, m1_lo, m1_hi, t, w, x0)
+    x0 ^= np.uint64((k0 + w0) & _MASK64)
+    x1 = x2 * np.uint64(m1)
+    np.bitwise_xor(k1, c * np.uint64(m0), out=x2)
+    x2 ^= np.uint64(k0 * m0 >> 64)
+    x3 = np.full(n, k0 * m0 & _MASK64, dtype=np.uint64)
+    for r in range(2, _PHILOX_ROUNDS):
+        k1 += np.uint64(w1)
         _mulhi(x0, m0_lo, m0_hi, t, w, h0)
         _mulhi(x2, m1_lo, m1_hi, t, w, h1)
         # (x0, x1, x2, x3) <- (hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0)
@@ -237,7 +248,8 @@ def philox_block(seed: int, index, block) -> np.ndarray:
         x2, h0 = h0, x2
     out = np.empty((4, n))
     for row, x in enumerate((x0, x1, x2, x3)):
-        out[row] = x >> _SHIFT11
+        x >>= _SHIFT11
+        out[row] = x
     out *= _TWO_M53
     return out
 
@@ -262,6 +274,10 @@ class BlockCache:
         stale = self._held[rows] != block
         if stale.any():
             s, b = rows[stale], (block[stale] if np.ndim(block) else block)
-            self._words[:, s] = philox_block(self.seed, self.index[s], b)
+            tiles = -(-s.size // _TILE_KEYS)
+            for i in range(tiles):  # equal tiles: Philox's temporaries grow with a tile
+                t = slice(s.size * i // tiles, s.size * (i + 1) // tiles)
+                self._words[:, s[t]] = philox_block(self.seed, self.index[s[t]],
+                                                    b[t] if np.ndim(b) else b)
             self._held[s] = b
         return self._words[word, rows]

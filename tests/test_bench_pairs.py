@@ -162,8 +162,10 @@ def test_the_sample_code_reports_time_and_memory(summarize, monkeypatch):
         exec(bench_pairs._SAMPLE_CODE, {})
     assert calls == [(10, 3)] * 4
     got = json.loads(out.getvalue())
-    assert set(got) == set(bench_pairs._SAMPLE_METRICS) == {"first_s", "wall_s", "peak_rss_mb"}
+    assert set(got) == set(bench_pairs._SAMPLE_METRICS) == {
+        "first_s", "wall_s", "peak_rss_mb", "import_rss_mb"}
     assert got["first_s"] > 0 and got["wall_s"] > 0 and got["peak_rss_mb"] > 1
+    assert 1 < got["import_rss_mb"] <= got["peak_rss_mb"]
 
 
 def test_the_first_call_is_timed_apart_from_the_median_of_the_rest(summarize, monkeypatch):
@@ -194,3 +196,28 @@ def test_sample_runs_are_summarised_lower_better(summarize):
     s = summarize(rs, bench_pairs._SAMPLE_METRICS)["2:20000"]
     assert (s["wall_s"]["head_wins"], s["peak_rss_mb"]["head_wins"]) == (3, 0)
     assert s["wall_s"]["change_pct"] == pytest.approx(-46.666, abs=1e-2)
+
+
+def test_the_import_rss_is_read_before_the_first_call(summarize, monkeypatch):
+    import contextlib
+    import io
+    import resource
+
+    import vervaat
+
+    bench_pairs = sys.modules[summarize.__module__]
+    events = []
+
+    def getrusage(who):
+        events.append("rss")
+        return argparse.Namespace(ru_maxrss=1024 * 10 * len(events))
+
+    monkeypatch.setattr(resource, "getrusage", getrusage)
+    monkeypatch.setattr(vervaat, "sample_many", lambda *a: events.append("call"))
+    monkeypatch.setattr(sys, "argv", ["-c", "1.0", "10", "3", "3"])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(bench_pairs._SAMPLE_CODE, {})
+    got = json.loads(out.getvalue())
+    assert events == ["rss", "call", "call", "call", "rss"]
+    assert (got["import_rss_mb"], got["peak_rss_mb"]) == (10, 50)

@@ -5,6 +5,7 @@ import signal
 import sys
 import textwrap
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -232,6 +233,18 @@ class TestSampleMany:
         # 513 rows from 2^64 - 512 used to wrap: the last row was substream 0's
         with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
             sample_many(dickman, n, 1, first_index=first_index)
+
+    def test_a_batch_holds_a_bounded_working_set(self, dickman, serial):
+        # one 25,000-row lockstep batch traces 4.5 MiB: Philox in tiles, the
+        # imputations and W(1) in the arrays that the cache returns.  Philox
+        # over the whole batch traced 6.0 MiB, and the engine before both 6.5.
+        tracemalloc.start()
+        try:
+            sample_many(dickman, 25_000, 71)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.25 * 2**20
 
     def test_mean_steps_sane(self, dickman):
         _, steps, _ = sample_many(dickman, 20_000, seed=555)

@@ -131,6 +131,42 @@ def test_philox_block_matches_numpy_philox(seed, index):
     assert np.array_equal(UniformStream(seed, index).uniforms(64), ref)
 
 
+def numpy_philox(seed, index, block):
+    """Uniforms ``4 * block .. 4 * block + 3`` of substream (seed, index),
+    drawn by numpy's own Philox."""
+    bits = np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
+    bits.advance(block)
+    return np.random.Generator(bits).random(4)
+
+
+@pytest.mark.parametrize("seed", [2**63, 2**63 + 12345, 2**64 - 1])
+def test_philox_block_folded_rounds_at_far_blocks(seed):
+    # key word 0 >= 2^63, and a counter word 0 far from 1: the folded first
+    # two rounds carry both
+    index = np.array([0, 5, 1 << 62, 2**64 - 1], dtype=np.uint64)
+    for block in (0, 1, 2**40):
+        want = np.array([numpy_philox(seed, int(i), block) for i in index]).T
+        assert np.array_equal(philox_block(seed, index, block), want)
+    blocks = np.array([2**40, 0, 1, 2**40], dtype=np.uint64)
+    want = np.array([numpy_philox(seed, int(i), int(b)) for i, b in zip(index, blocks)]).T
+    assert np.array_equal(philox_block(seed, index, blocks), want)
+
+
+@pytest.mark.parametrize("extra", [1, streams_mod._TILE_KEYS + 3])
+def test_block_cache_takes_more_rows_than_a_tile(extra):
+    # tile + 1 and 2 * tile + 3 stale rows, so the keys go to Philox in
+    # two and in three tiles: at one block number, then at one per row
+    seed, n = 2**63 + 7, streams_mod._TILE_KEYS + extra
+    index = np.arange(n, dtype=np.uint64) + np.uint64(1000)
+    rows = np.arange(n)
+    cache = BlockCache(seed, index)
+    want = [numpy_philox(seed, 1000 + r, 1)[2] for r in range(n)]
+    assert np.array_equal(cache.take(rows, 6), want)
+    pos = 4 * (2 + rows % 5) + rows % 4  # blocks 2 .. 6: every row is stale
+    want = [numpy_philox(seed, 1000 + r, 2 + r % 5)[r % 4] for r in range(n)]
+    assert np.array_equal(cache.take(rows, pos), want)
+
+
 def test_philox_block_per_row_block_numbers():
     indices = np.arange(12)
     blocks = np.arange(12) * 3

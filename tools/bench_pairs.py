@@ -13,7 +13,8 @@ on both sides.  Each ``--sample BETA:N`` pair likewise times
 ``sample_many(make_params(BETA), N, S)``, as shipped, :data:`_SAMPLE_CALLS`
 times in a fresh interpreter from each side's ``src``, recording the wall time
 of the first call, the median of the others and the interpreter's peak RSS
-(``ru_maxrss``), so that engine changes show at a beta no workload runs.
+(``ru_maxrss``), at the end and before the first call, so that engine changes
+show at a beta no workload runs, and the calls' memory apart from the import's.
 The runs inherit the caller's environment except
 ``PYTHONDONTWRITEBYTECODE``, which is removed: both sides then write and
 reuse their bytecode alike, and a caller's setting cannot add source
@@ -52,13 +53,17 @@ _PHASE = re.compile(r"^\s*phase (\w+)\s+median (\S+) s$", re.MULTILINE)
 #: the mercy of noise, and the first call also pays for first use.
 _SAMPLE_CALLS = 5
 #: What a ``--sample`` run records, lower being better: the first call's wall
-#: time, the median wall time of the other calls, and the peak RSS.
-_SAMPLE_METRICS = {"first_s": "lower", "wall_s": "lower", "peak_rss_mb": "lower"}
+#: time, the median wall time of the other calls, the peak RSS, and the peak
+#: RSS before the first call, so that the calls' working set shows apart
+#: from the import's.
+_SAMPLE_METRICS = {"first_s": "lower", "wall_s": "lower", "peak_rss_mb": "lower",
+                   "import_rss_mb": "lower"}
 #: One ``--sample`` run: argv is BETA, N, the seed and the number of calls.
 _SAMPLE_CODE = """\
 import json, resource, statistics, sys, time
 from vervaat import make_params, sample_many
 params, n, seed = make_params(float(sys.argv[1])), int(sys.argv[2]), int(sys.argv[3])
+imported = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 walls = []
 for _ in range(int(sys.argv[4])):
     t0 = time.perf_counter()
@@ -66,7 +71,7 @@ for _ in range(int(sys.argv[4])):
     walls.append(time.perf_counter() - t0)
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"first_s": walls[0], "wall_s": statistics.median(walls[1:]),
-                  "peak_rss_mb": rss}))
+                  "peak_rss_mb": rss, "import_rss_mb": imported}))
 """
 
 
