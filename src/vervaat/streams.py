@@ -44,8 +44,9 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _SHIFT11 = np.uint64(11)
 _TWO_M53 = 1.0 / 9007199254740992.0
-#: Most keys per :func:`philox_block` call of :class:`BlockCache`: its dozen
-#: uint64 temporaries then take about 100 bytes a key of this, not of a batch.
+#: Most keys that :class:`BlockCache` hands one :func:`philox_block` call, so
+#: that its dozen uint64 temporaries, about 100 bytes a key, grow with this
+#: and not with a batch.
 _TILE_KEYS = 1 << 13
 
 
@@ -223,7 +224,8 @@ def philox_block(seed: int, index, block) -> np.ndarray:
     m1_lo, m1_hi = np.uint64(m1 & 0xFFFFFFFF), np.uint64(m1 >> 32)
     # Rounds 0 and 1, folded.  Words 1-3 of the counter c are 0, so round 0
     # gives (k0, 0, hi(c m0) ^ k1, lo(c m0)), and in round 1 only word 2
-    # needs an array product: k0 m0 is one scalar.
+    # needs an array product: k0 m0 is one scalar.  c holds one word for a
+    # scalar block, else one per key.
     c = (np.array(block, dtype=np.uint64, ndmin=1) + np.uint64(1))[:n]
     x2 = _mulhi(c, m0_lo, m0_hi, t[: c.size], w[: c.size], h0[: c.size]) ^ k1
     k1 += np.uint64(w1)

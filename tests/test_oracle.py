@@ -128,7 +128,8 @@ class TestKsTwoSample:
         ours = ks_two_sample(a, b)
         assert ours == pytest.approx(scipy_stats.ks_2samp(a, b).statistic, abs=1e-12)
 
-    @pytest.mark.parametrize("size", [oracle._KS_CHUNK - 1, oracle._KS_CHUNK, 70_001])
+    @pytest.mark.parametrize(
+        "size", [oracle._KS_CHUNK - 1, oracle._KS_CHUNK, 65_535, 65_536, 70_001])
     def test_chunked_scan_equals_one_pass(self, size):
         rng = np.random.Generator(np.random.Philox(key=(22, 0)))
         a = rng.normal(size=size)
