@@ -46,11 +46,11 @@ _CSV_NUMPY_MIN = 200
 #: Largest ``analyze --truncation``: the solve holds a few arrays of this
 #: length, and the bracket reaches the solver tolerance by about 50.
 _MAX_TRUNCATION = 10_000
-#: Largest ``sample --n``: a run holds 24 bytes per row over a fixed 43 MB
-#: (273 MB at n = 10^7), so about 2.3 GB at this size.
+#: Largest ``sample --n``: a run holds 24 bytes per row over a fixed 38 MB
+#: (62 MB at n = 10^6), so about 2.4 GB at this size.
 _MAX_SAMPLE_N = 10**8
-#: Largest ``validate --n``: a run holds about 48 bytes per row over a fixed
-#: 38 MB (84 MB at n = 10^6), so about 0.5 GB at this size.
+#: Largest ``validate --n``: a run holds about 40 bytes per row over a fixed
+#: 36 MB (76 MB at n = 10^6), so about 0.4 GB at this size.
 _MAX_VALIDATE_N = 10**7
 #: Largest ``validate --depth``, explicit or the default ``oracle_depth``.
 #: The oracle's series blocks have a fixed byte size, so its memory does not

@@ -239,10 +239,10 @@ def validate_run(
 
     mean, second = exact_moments(params.beta)
     variance = second - mean**2
-    se_mean = values.std() / math.sqrt(n)
-    checks.append(_check("mean_z", _z(values.mean() - mean, se_mean), 4.0, (n,)))
     centered = values - values.mean()
     sample_var = float(np.mean(centered**2))
+    se_mean = math.sqrt(sample_var) / math.sqrt(n)  # values.std(), bit for bit
+    checks.append(_check("mean_z", _z(values.mean() - mean, se_mean), 4.0, (n,)))
     m4 = float(np.mean(np.power(centered, 4, out=centered)))
     se_var = math.sqrt(max(m4 - sample_var**2, 0.0) / n)
     checks.append(_check("variance_z", _z(sample_var - variance, se_var), 5.0, (n,)))

@@ -110,10 +110,9 @@ def reference():
 @pytest.mark.parametrize(
     "beta, n, seed, replayed",
     [
-        # deep's shape: 400 rows, all on the per-row path; replay the first
-        # rows and the longest walk
+        # deep's shape: 400 long walks; replay the first rows and the longest walk
         (3.0, 400, 1001, [0, 1, 2, 3]),
-        # dickman's engine: numpy lockstep rounds, the last running rows resumed per row
+        # dickman's shape: short walks, every row replayed
         (1.0, 2000, 2001, range(2000)),
     ],
 )

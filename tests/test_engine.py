@@ -1,10 +1,7 @@
+import ctypes
 import inspect
 import math
-import os
-import signal
-import sys
 import textwrap
-import time
 import tracemalloc
 import warnings
 
@@ -25,8 +22,6 @@ from vervaat import (
 )
 
 import vervaat.engine as engine_mod
-import vervaat.streams as streams_mod
-from vervaat.streams import philox_block
 from vervaat.updates import TWO_THIRDS, coupler_collapses
 from conftest import ScriptedStream, audit_path
 
@@ -34,12 +29,6 @@ from conftest import ScriptedStream, audit_path
 @pytest.fixture
 def dickman():
     return make_params(1.0)  # x0 = 5, floor 4, threshold 2/3
-
-
-@pytest.fixture
-def serial(monkeypatch):
-    """Keeps sample_many in this process, so that spies see every call."""
-    monkeypatch.setattr(engine_mod, "_FORK_WORK", math.inf)
 
 
 @pytest.fixture(scope="module")
@@ -234,17 +223,16 @@ class TestSampleMany:
         with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
             sample_many(dickman, n, 1, first_index=first_index)
 
-    def test_a_batch_holds_a_bounded_working_set(self, dickman, serial):
-        # one 25,000-row lockstep batch traces 4.5 MiB: Philox in tiles, the
-        # imputations and W(1) in the arrays that the cache returns.  Philox
-        # over the whole batch traced 6.0 MiB, and the engine before both 6.5.
+    def test_a_batch_holds_a_bounded_working_set(self, dickman):
+        # the output, 24 bytes a row, and little else: the kernel's W(1)
+        # buffer is its own malloc, about 8 bytes a step of the longest walk
         tracemalloc.start()
         try:
             sample_many(dickman, 25_000, 71)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 5.25 * 2**20
+        assert peak < 24 * 25_000 + 2**16
 
     def test_mean_steps_sane(self, dickman):
         _, steps, _ = sample_many(dickman, 20_000, seed=555)
@@ -276,40 +264,49 @@ def assert_same_rows(got, want):
         assert np.array_equal(g, w)
 
 
-def zeroed(zeros):
-    """A UniformStream type and a philox_block whose uniforms at the
-    (index, position) pairs in ``zeros`` read 0."""
+@pytest.fixture(scope="module")
+def script_library(tmp_path_factory):
+    """The kernel source built with VERVAAT_SCRIPT, which the shipped build
+    leaves out: the uniforms that vervaat_script names read scripted values."""
+    return engine_mod._build(str(tmp_path_factory.mktemp("kernel") / "script.so"),
+                             "-DVERVAAT_SCRIPT")
 
-    class ZeroedStream(UniformStream):
-        __slots__ = ()
 
-        def next_uniform(self):
-            key = (self.index, self.position)
-            u = super().next_uniform()
-            return 0.0 if key in zeros else u
+@pytest.fixture
+def script_kernel(script_library, monkeypatch):
+    """Makes sample_many run the VERVAAT_SCRIPT build; returns a function that
+    takes {(index, position): uniform} for the kernel to read."""
+    kernel = engine_mod._load(script_library)
+    set_script = ctypes.CDLL(script_library).vervaat_script
+    set_script.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_longlong]
+    monkeypatch.setattr(engine_mod, "_kernel", lambda: kernel)
+    held = []
 
-    def zeroed_block(seed_, index, block):
-        out = philox_block(seed_, index, block)
-        blocks = np.broadcast_to(block, np.shape(index)).tolist()
-        for col, (i, b) in enumerate(zip(np.asarray(index).tolist(), blocks)):
-            for word in range(4):
-                if (i, 4 * b + word) in zeros:
-                    out[word, col] = 0.0
-        return out
+    def script(uniforms):
+        at = np.array(list(uniforms), dtype=np.uint64).reshape(-1, 2)
+        values = np.array(list(uniforms.values()), dtype=float)
+        held[:] = at, values  # the kernel reads them until the next script
+        set_script(at.ctypes.data, values.ctypes.data, len(values))
 
-    return ZeroedStream, zeroed_block
+    yield script
+    set_script(None, None, 0)
+
+
+@pytest.fixture
+def zero_kernel(script_kernel):
+    """Makes sample_many read 0 at the (index, position) pairs given to the
+    returned function, which returns the reference stream type for them."""
+
+    def zeroed(zeros):
+        script_kernel(dict.fromkeys(zeros, 0.0))
+        return lambda seed, index: ZeroAt(seed, index, {p for i, p in zeros if i == index})
+
+    return zeroed
 
 
 class TestBatchedEngine:
-    """sample_many advances rows in numpy lockstep; every row must still be
+    """sample_many runs the compiled per-row loop; every row must still be
     bit for bit what run_ciaftp draws on its substream."""
-
-    @pytest.fixture(autouse=True)
-    def low_active_floor(self, monkeypatch, serial):
-        # lets a few hundred rows exercise the lockstep rounds, the hand-off
-        # after 64 steps where walks are long (beta = 3) and the hand-off of
-        # the last running rows
-        monkeypatch.setattr(engine_mod, "_MIN_ACTIVE", 64)
 
     @pytest.mark.parametrize(
         "beta, n, seed, first_index",
@@ -321,52 +318,42 @@ class TestBatchedEngine:
             (3.0, 300, 45, 7),
         ],
     )
-    def test_matches_per_row_reference(self, beta, n, seed, first_index, monkeypatch):
+    def test_matches_per_row_reference(self, beta, n, seed, first_index):
         params = make_params(beta)
-        resumed = []
-        complete = engine_mod._complete
-
-        def spy(params_, path, *args, done=0):
-            if done:
-                resumed.append(done)
-            return complete(params_, path, *args, done=done)
-
-        monkeypatch.setattr(engine_mod, "_complete", spy)
         got = sample_many(params, n, seed, first_index=first_index)
-        monkeypatch.setattr(engine_mod, "_complete", complete)
         assert_same_rows(got, per_row(params, n, seed, first_index))
-        # the last rows of the batch resumed mid-walk on the scalar path
-        assert resumed
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 + 12345, 2**64 - 1])
+    @pytest.mark.parametrize("index", [0, 1, 77, 1 << 62])
+    def test_philox_keys_of_64_bits(self, seed, index):
+        # the kernel's Philox against numpy's: walks of about 3,400 steps at
+        # beta = 3 read some 1,700 blocks of each substream
+        params = make_params(3.0)
+        got = sample_many(params, 3, seed, first_index=index)
+        assert_same_rows(got, per_row(params, 3, seed, index))
 
     @pytest.mark.parametrize("n", [0, 1, 10])
     def test_tiny_batches(self, dickman, n):
         assert_same_rows(sample_many(dickman, n, 46, 5), per_row(dickman, n, 46, 5))
 
-    def test_zero_uniforms_resume_on_the_scalar_path(self, dickman, monkeypatch):
+    @pytest.mark.parametrize("beta", [1.0, 3.0])
+    def test_zero_uniforms_are_redrawn(self, beta, zero_kernel):
         # (index, position) of uniforms forced to 0: a geometric start, the
-        # imputation of backward steps 1 and 2, a walk direction (a zero
-        # there is a valid down-move, no redraw), and a second driver
-        n, seed = 600, 47
-        _, steps, _ = per_row(dickman, n, seed)
-        zeros = {(3, 0), (5, 2), (8, 4), (9, 1), (11, 2 * int(steps[11]) + 1)}
-
-        ZeroedStream, zeroed_block = zeroed(zeros)
-        resumed = set()
-        complete = engine_mod._complete
-
-        def spy(params_, path, stream, *args, **kwargs):
-            resumed.add(stream.index)
-            return complete(params_, path, stream, *args, **kwargs)
-
-        want = per_row(dickman, n, seed, stream_type=ZeroedStream)
-        monkeypatch.setattr(engine_mod, "UniformStream", ZeroedStream)
-        monkeypatch.setattr(streams_mod, "philox_block", zeroed_block)
-        monkeypatch.setattr(engine_mod, "_complete", spy)
-        got = sample_many(dickman, n, seed)
+        # imputation of backward steps 1 and 2 and of the longest walk's step
+        # T - 1, a walk direction (a zero there is a valid down-move, no
+        # redraw), and a second driver
+        params = make_params(beta)
+        n, seed = 60, 47
+        _, steps, _ = per_row(params, n, seed)
+        longest = int(np.argmax(steps))
+        zeros = {(3, 0), (5, 2), (8, 4), (9, 1), (11, 2 * int(steps[11]) + 1),
+                 (longest, 2 * int(steps[longest]) - 2)}
+        stream_type = zero_kernel(zeros)
+        want = per_row(params, n, seed, stream_type=stream_type)
+        got = sample_many(params, n, seed)
         assert_same_rows(got, want)
-        assert {3, 5, 8} <= resumed  # the rows whose zero is redrawn
-        plain = per_row(dickman, n, seed)
-        for i, _ in zeros:
+        plain = per_row(params, n, seed)
+        for i in (3, 5, 8, longest):  # a redrawn zero shifts the rest of its row
             assert got[0][i] != plain[0][i]
 
     def test_step_budget_error_for_the_first_row_that_aborts(self):
@@ -380,328 +367,38 @@ class TestBatchedEngine:
         with pytest.raises(StepBudgetError):
             sample_many(params, 400, 48)
 
-
-class TestHandOff:
-    """A row leaves the lockstep after k steps as (k, D(-k)); the per-row
-    path finishes its walk and rolls it forward to X(-k) only, and the
-    lockstep applies steps k .. 1.  Where walks are long (x0^beta >= 128,
-    as at beta = 2.2: x0^beta = 195, first chunk 97), rows leave after 64
-    steps; short walks stay until fewer than _MIN_ACTIVE rows run."""
-
-    @pytest.mark.parametrize("budget", [64, 65, 100, 200])
-    def test_step_budget_counts_the_lockstep_steps(self, budget, monkeypatch):
-        # seed 322's first rows at beta = 2.2 have T = 43, 23, 5, 116, 251:
-        # each budget's first abort lies past a few rows, and within
-        # budget + 64 steps of the hand-off at step 64
-        monkeypatch.setattr(engine_mod, "_MIN_ACTIVE", 2)
+    @pytest.mark.parametrize("rows_per_call", [1, 7, 400])
+    def test_the_first_abort_is_named_whatever_the_calls(self, rows_per_call, monkeypatch):
+        # sample_many calls the kernel over ranges of rows; the abort of a
+        # later range is never named before that of an earlier one
+        monkeypatch.setattr(engine_mod, "_CALL_WORK", rows_per_call * 5)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StepBudgetWarning)
-            params = make_params(2.2, step_budget=budget)
-        ref = [run_ciaftp(make_params(2.2), UniformStream(322, i)).steps for i in range(40)]
-        first = next(i for i, t in enumerate(ref) if t > budget)
-        assert first >= 3 and ref[first] <= budget + engine_mod._SCALAR_STEPS
-        assert_same_rows(sample_many(params, first, 322), per_row(params, first, 322))
+            params = make_params(1.0, step_budget=12)
+        late = per_row(make_params(1.0), 400, 75)[1] > 12
+        assert late.sum() >= 3
         with pytest.raises(StepBudgetError) as err:
-            sample_many(params, 40, 322)
-        assert (err.value.seed, err.value.index) == (322, first)
+            sample_many(params, 400, 75)
+        assert (err.value.seed, err.value.index) == (75, int(np.argmax(late)))
 
-    @staticmethod
-    def spied_run(params, n, seed, monkeypatch):
-        """sample_many's rows with what happened to each row the per-row path
-        finished: the step ``done`` it was handed off at, the backward steps
-        (1) and chunks (("chunk", size)) it took there, what run_ciaftp takes
-        for that row alone, and the first drivers of its forward walk."""
-        events, drivers, done_at = {}, {}, {}
-        extend, chunk = engine_mod.backward_extend, engine_mod._backward_chunk
-        complete, walk = engine_mod._complete, engine_mod._forward_walk
-
-        def extend_spy(params_, path, stream):
-            events.setdefault(stream.index, []).append(1)
-            return extend(params_, path, stream)
-
-        def chunk_spy(params_, d, stream, k):
-            events.setdefault(stream.index, []).append(("chunk", k))
-            return chunk(params_, d, stream, k)
-
-        def complete_spy(params_, path, stream, *args, done=0):
-            done_at[stream.index] = done
-            return complete(params_, path, stream, *args, done=done)
-
-        def walk_spy(params_, u, x, w2s, x_path=None):
-            u = list(u)
-            drivers[w2s.index] = len(u)
-            return walk(params_, u, x, w2s, x_path)
-
-        monkeypatch.setattr(engine_mod, "backward_extend", extend_spy)
-        monkeypatch.setattr(engine_mod, "_backward_chunk", chunk_spy)
-        monkeypatch.setattr(engine_mod, "_complete", complete_spy)
-        monkeypatch.setattr(engine_mod, "_forward_walk", walk_spy)
-        got = sample_many(params, n, seed)
-        resumed = {i: k for i, k in done_at.items() if k > 0}
-        batched, forward = dict(events), dict(drivers)
-        events.clear()
-        want = per_row(params, n, seed)
-        assert_same_rows(got, want)
-        return want[1], resumed, batched, events, forward
-
-    @staticmethod
-    def per_row_events(params, k, t):
-        """The steps and chunks the per-row path takes from step k to
-        coalescence at step t: single steps up to 64 where x0^beta < 128,
-        then chunks of at least x0^beta // 2 steps, as long as the walk so far."""
-        first = int(engine_mod._power(params.x0, params.beta)) // 2
-        prefix = engine_mod._SCALAR_STEPS if first < engine_mod._SCALAR_STEPS else 0
-        single = max(min(prefix, t) - k, 0)
-        done, sizes = k + single, []
-        while done + sum(sizes) < t:
-            sizes.append(min(max(done + sum(sizes), first), engine_mod._CHUNK_MAX))
-        return [1] * single + [("chunk", size) for size in sizes]
-
-    @pytest.mark.parametrize("min_active", [16, 128])
-    def test_resumed_rows_take_only_their_own_steps(self, min_active, monkeypatch, serial):
-        """Past the hand-off at k, a resumed row's backward steps and chunks
-        are the per-row path's from step k, from max(k, 97) steps at beta =
-        2.2, and its forward pass takes T - k - 1 first drivers.  The rows
-        leave after 64 steps, or earlier, once fewer than ``min_active`` run."""
-        monkeypatch.setattr(engine_mod, "_MIN_ACTIVE", min_active)
-        params = make_params(2.2)
-        steps, resumed, batched, events, forward = self.spied_run(params, 150, 62, monkeypatch)
-        assert len(resumed) >= 20
-        depth = engine_mod._SCALAR_STEPS
-        if min_active == 16:
-            assert set(resumed.values()) == {depth}
-        else:
-            assert max(resumed.values()) < depth
-        for i, k in resumed.items():
-            assert forward[i] == steps[i] - k - 1, i
-            # run_ciaftp chunks from step 0; the resumed row from step k
-            assert events[i] == self.per_row_events(params, 0, steps[i]), i
-            assert batched.get(i, []) == self.per_row_events(params, k, steps[i]), i
-        # the chunk at the hand-off: max(k, 97) steps
-        assert {batched[i][0] for i in resumed} == {("chunk", 97)}
-
-    @pytest.mark.parametrize("min_active", [16, 128])
-    def test_short_walks_stay_while_enough_rows_run(self, min_active, monkeypatch, serial):
-        """At beta = 2 (x0^beta = 100) no row resumes while at least
-        ``min_active`` run: the rows still running at the first step k where
-        fewer do all resume at k, past step 64 for 16 of 200 rows."""
-        monkeypatch.setattr(engine_mod, "_MIN_ACTIVE", min_active)
-        params = make_params(2.0)
-        steps, resumed, batched, events, forward = self.spied_run(params, 200, 62, monkeypatch)
-        k = next(k for k in range(int(steps.max()) + 1) if (steps > k).sum() < min_active)
-        assert resumed == {i: k for i in np.flatnonzero(steps > k).tolist()}
-        assert k > engine_mod._SCALAR_STEPS if min_active == 16 else k < engine_mod._SCALAR_STEPS
-        for i in resumed:
-            assert forward[i] == steps[i] - k - 1, i
-            assert events[i] == self.per_row_events(params, 0, steps[i]), i
-            assert batched[i] == self.per_row_events(params, k, steps[i]), i
-
-    def test_a_budget_below_the_longest_walk_aborts_from_the_lockstep(self, monkeypatch, serial):
-        # seed 62's first rows at beta = 2 have T = 26, 17, 2, 75, 72, 92,
-        # 146, 238: row 7 is the first past 150, and it runs in the lockstep
-        # to step 150 beside the other long walks of 40 rows
-        monkeypatch.setattr(engine_mod, "_MIN_ACTIVE", 2)
+    def test_zeros_before_the_first_abort(self, zero_kernel):
+        # zero starts and imputations move rows' walks; the first abort and
+        # the rows before it are still the reference's
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StepBudgetWarning)
-            params = make_params(2.0, step_budget=150)
-        ref = per_row(make_params(2.0), 40, 62)[1]
-        first = int(np.argmax(ref > 150))
-        assert first == 7 and (ref > 150).sum() >= 2
-        done_at, stepped = {}, set()
-        complete = engine_mod._complete
-
-        def complete_spy(params_, path, stream, *args, done=0):
-            done_at[stream.index] = done
-            return complete(params_, path, stream, *args, done=done)
-
-        monkeypatch.setattr(engine_mod, "_complete", complete_spy)
-        monkeypatch.setattr(engine_mod, "backward_extend",
-                            lambda p, path, stream: stepped.add(stream.index))
-        monkeypatch.setattr(engine_mod, "_backward_chunk",
-                            lambda p, d, stream, k: stepped.add(stream.index))
-        with pytest.raises(StepBudgetError) as err:
-            sample_many(params, 40, 62)
-        assert (err.value.seed, err.value.index) == (62, first)
-        assert done_at == {first: 150} and not stepped
-
-    @pytest.mark.parametrize("offset", [-1, 0])
-    def test_at_the_real_active_floor(self, dickman, offset):
-        n = engine_mod._MIN_ACTIVE + offset
-        assert_same_rows(sample_many(dickman, n, 63), per_row(dickman, n, 63))
-
-    def test_a_small_batch_draws_no_philox_block(self, dickman, monkeypatch, serial):
-        # the whole batch leaves before any block is computed, so short runs
-        # such as `sample --n 10` pay nothing for the lockstep
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return philox_block(*args)
-
-        monkeypatch.setattr(streams_mod, "philox_block", spy)
-        n = engine_mod._MIN_ACTIVE - 1
-        got = sample_many(dickman, n, 64)
-        assert not calls
-        sample_many(dickman, n + 1, 64)
-        assert calls
-        assert_same_rows(got, per_row(dickman, n, 64))
-
-    def test_a_small_batch_with_a_zero_start(self, dickman, monkeypatch):
-        n, seed = 20, 65
-        ZeroedStream, zeroed_block = zeroed({(4, 0)})
-        want = per_row(dickman, n, seed, stream_type=ZeroedStream)
-        monkeypatch.setattr(engine_mod, "UniformStream", ZeroedStream)
-        monkeypatch.setattr(streams_mod, "philox_block", zeroed_block)
-        got = sample_many(dickman, n, seed)
-        assert_same_rows(got, want)
-        assert got[0][4] != per_row(dickman, n, seed)[0][4]
-
-
-def fan_out(monkeypatch, workers):
-    """Makes sample_many use ``workers`` processes whatever the work; returns
-    the list that collects the pid of each worker forked."""
-    monkeypatch.setattr(engine_mod, "_FORK_WORK", 1e-9)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
-    forks, fork = [], os.fork
-
-    def spy():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", spy)
-    return forks
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.skipif(sys.platform != "linux", reason="sample_many forks only on Linux")
-class TestFanOut:
-    """sample_many split over forked workers: the rows of one process, the
-    abort one process names, and no worker left after the call."""
-
-    @pytest.fixture(autouse=True)
-    def low_active_floor(self, monkeypatch):
-        # ranges of a few rows still run lockstep rounds and hand-offs
-        monkeypatch.setattr(engine_mod, "_MIN_ACTIVE", 8)
-
-    @pytest.mark.parametrize(
-        "beta, n, seed, first_index",
-        [(0.25, 1500, 71, 0), (1.0, 1500, 72, 2**64 - 1500), (3.0, 45, 73, 5)],
-    )
-    def test_rows_do_not_depend_on_workers(self, beta, n, seed, first_index, monkeypatch):
-        params = make_params(beta)
-        want = per_row(params, n, seed, first_index)
-        for workers in (1, 2, 3):
-            forks = fan_out(monkeypatch, workers)
-            assert_same_rows(sample_many(params, n, seed, first_index), want)
-            assert len(forks) == workers - 1
-        assert_no_child_left()
-
-    def test_zero_uniforms_in_every_range(self, dickman, monkeypatch):
-        # zero geometric starts, step-1 imputations and a second driver,
-        # spread over three ranges of 200 rows
-        n, seed = 600, 74
-        steps = per_row(dickman, n, seed)[1]
-        zeros = {(3, 0), (150, 2), (250, 0), (390, 2 * int(steps[390]) + 1), (480, 2), (599, 0)}
-        ZeroedStream, zeroed_block = zeroed(zeros)
-        want = per_row(dickman, n, seed, stream_type=ZeroedStream)
-        monkeypatch.setattr(engine_mod, "UniformStream", ZeroedStream)
-        monkeypatch.setattr(streams_mod, "philox_block", zeroed_block)
-        for workers in (2, 3):
-            forks = fan_out(monkeypatch, workers)
-            assert_same_rows(sample_many(dickman, n, seed), want)
-            assert len(forks) == workers - 1
-        plain = per_row(dickman, n, seed)
-        assert all(want[0][i] != plain[0][i] for i, _ in zeros)
-
-    @pytest.mark.parametrize(
-        "late_in", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]
-    )
-    def test_the_first_abort_is_named_as_in_one_process(self, late_in, monkeypatch):
-        """30 rows in 3 ranges of 10; ``late_in`` says which ranges hold a
-        row past the budget.  The window is the first of seed 75's rows
-        with that pattern."""
-        budget, seed = 12, 75
-        steps = per_row(make_params(1.0), 400, seed)[1]
-        late = steps > budget
-        first = next(
-            f for f in range(370)
-            if tuple(int(late[f + 10 * r : f + 10 * r + 10].any()) for r in range(3)) == late_in
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", StepBudgetWarning)
-            params = make_params(1.0, step_budget=budget)
-        errors = []
-        for workers in (1, 3):
-            fan_out(monkeypatch, workers)
-            with pytest.raises(StepBudgetError) as err:
-                sample_many(params, 30, seed, first_index=first)
-            errors.append(err.value)
-        one, three = errors
-        assert (three.seed, three.index) == (one.seed, one.index)
-        assert one.index == first + int(np.argmax(late[first : first + 30]))
-        assert str(three) == str(one)
-        assert_no_child_left()
-
-    @pytest.mark.parametrize("how, status", [("exit", 1), ("kill", -signal.SIGKILL)])
-    def test_a_failed_worker_raises(self, dickman, how, status, monkeypatch):
-        fill = engine_mod._fill
-
-        def failing(params, seed, first, *rows):
-            if first == 20:  # only the worker of the last range
-                if how == "exit":
-                    os._exit(1)
-                os.kill(os.getpid(), signal.SIGKILL)
-            return fill(params, seed, first, *rows)
-
-        monkeypatch.setattr(engine_mod, "_fill", failing)
-        forks = fan_out(monkeypatch, 3)
-        with pytest.raises(RuntimeError, match=rf"substreams 20 \.\. 29 .* status {status}$"):
-            sample_many(dickman, 30, 76)
-        assert len(forks) == 2
-        assert_no_child_left()
-
-    def test_a_failure_here_kills_the_workers(self, dickman, monkeypatch):
-        parent, fill = os.getpid(), engine_mod._fill
-
-        def stalled(params, seed, first, *rows):
-            if os.getpid() != parent:
-                time.sleep(60)
-                return fill(params, seed, first, *rows)
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(engine_mod, "_fill", stalled)
-        forks = fan_out(monkeypatch, 3)
-        t0 = time.perf_counter()
-        with pytest.raises(KeyboardInterrupt):
-            sample_many(dickman, 30, 77)
-        assert time.perf_counter() - t0 < 30
-        assert len(forks) == 2
-        assert_no_child_left()
-
-    def test_no_worker_outlives_a_success_or_an_abort(self, monkeypatch):
-        forks = fan_out(monkeypatch, 2)
-        sample_many(make_params(1.0), 100, 78)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", StepBudgetWarning)
-            params = make_params(1.0, step_budget=2)
+            params = make_params(1.0, step_budget=12)
+        stream_type = zero_kernel({(2, 0), (4, 2), (6, 1), (10, 0), (11, 0)})
+        first = 0
         with pytest.raises(StepBudgetError):
-            sample_many(params, 100, 78)
-        assert len(forks) == 2
-        assert_no_child_left()
-
-    def test_the_work_decides(self, dickman):
-        # a few rows never fork; the benchmark's batches use every CPU
-        cpus = len(os.sched_getaffinity(0))
-        assert engine_mod._workers(dickman, 10) == 1
-        assert engine_mod._workers(make_params(0.25), 19_999) == 1
-        assert engine_mod._workers(dickman, 100_000) == min(cpus, 10)
-        assert engine_mod._workers(make_params(3.0), 400) == min(cpus, 27)
+            while True:
+                run_ciaftp(params, stream_type(75, first))
+                first += 1
+        assert first > 6
+        with pytest.raises(StepBudgetError) as err:
+            sample_many(params, 400, 75)
+        assert (err.value.seed, err.value.index) == (75, first)
+        got = sample_many(params, first, 75)
+        assert_same_rows(got, per_row(params, first, 75, stream_type=stream_type))
 
 
 def stepwise(params, stream):
@@ -763,6 +460,19 @@ class ArrayStream:
     def seek(self, position):
         self.position = position
         return self
+
+
+def kernel_row(params, u, script):
+    """(value, steps, d0) of the kernel's row 0 on the uniforms ``u``."""
+    script({(0, p): v for p, v in enumerate(u.tolist())})
+    values, steps, d0s = sample_many(params, 1, 0)
+    return values[0], steps[0], d0s[0]
+
+
+def reference_row(params, u):
+    """(value, steps, d0) of the per-step replay of the uniforms ``u``."""
+    path, x_path = stepwise(params, ArrayStream(u))
+    return x_path[-1], path.coalesce_index, path.d_states[0]
 
 
 def assert_same_run(params, got, want_path, want_x):
@@ -898,6 +608,40 @@ class TestChunkedBackward:
     def test_step_budget_edge(self, budget):
         self.budget_edge(1.0, budget)
 
+    @pytest.mark.parametrize("t_coal", [64, 129, 257, 4000])
+    def test_the_kernel_at_chunk_edges(self, dickman, t_coal, script_kernel):
+        u = self.coalescing_at(dickman, t_coal)
+        assert kernel_row(dickman, u, script_kernel) == reference_row(dickman, u)
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    @pytest.mark.parametrize("t_coal", [64, 65, 100, 129])
+    def test_the_kernel_on_the_boundary(self, beta, t_coal, script_kernel):
+        # W(1) == 1/(1 + D) collapses in the kernel as in the Python code
+        params = make_params(beta)
+        u = self.on_the_boundary(params, t_coal)
+        got = kernel_row(params, u, script_kernel)
+        assert got == reference_row(params, u) and got[1] == t_coal
+
+    def test_the_kernel_collapses_forward_on_the_boundary(self, dickman, script_kernel):
+        # D(0) = 4 holds twice and coalesces at T = 2; X(-1) = 0.75, and step
+        # 1's W(1) = (2/3) u is exactly 1/(1 + X(-1)), so X(0) = W(2) = 0.3
+        x, raw = 0.75, 0.8571428571428571
+        assert TWO_THIRDS * raw == 1.0 / (1.0 + x)
+        u = np.array([0.5, 0.5, raw, 0.5, 1e-6, x, 0.3])
+        assert kernel_row(dickman, u, script_kernel) == reference_row(dickman, u) == (0.3, 2, 4)
+
+    @pytest.mark.parametrize("budget", [64, 65, 200])
+    def test_the_kernel_at_the_budget_edge(self, budget, script_kernel):
+        # a walk of exactly ``budget`` steps completes; one a step longer aborts
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StepBudgetWarning)
+            params = make_params(1.0, step_budget=budget)
+        u = self.coalescing_at(params, budget)
+        got = kernel_row(params, u, script_kernel)
+        assert got == reference_row(params, u) and got[1] == budget
+        with pytest.raises(StepBudgetError):
+            kernel_row(params, self.coalescing_at(params, budget + 1), script_kernel)
+
     @pytest.mark.parametrize("budget", [64, 65, 200])
     def test_step_budget_aborts_the_same_rows(self, budget):
         params = make_params(2.0)
@@ -905,11 +649,12 @@ class TestChunkedBackward:
         assert min(ref) <= budget < max(ref)
         self.budget_aborts(2.0, budget, 64, ref)
 
-    @pytest.mark.parametrize("min_active", [512, 16])
-    def test_sample_many_past_the_prefix(self, monkeypatch, min_active):
-        # all rows on the scalar path, or most resumed from the lockstep
-        monkeypatch.setattr(engine_mod, "_MIN_ACTIVE", min_active)
+    @pytest.mark.parametrize("rows_per_call", [512, 16])
+    def test_sample_many_past_the_prefix(self, monkeypatch, rows_per_call):
+        # the rows in one kernel call, or in three
         params = make_params(3.0)
+        work = rows_per_call * engine_mod._power(params.x0, params.beta)
+        monkeypatch.setattr(engine_mod, "_CALL_WORK", work)
         values, steps, d0s = sample_many(params, 40, 65, first_index=3)
         assert (steps > engine_mod._SCALAR_STEPS).sum() >= 30
         for i in range(40):
@@ -1002,8 +747,8 @@ class TestInlinedCoupler:
         exec(source.replace(inlined, "if w1 > 1.0 / y:"), namespace)
         monkeypatch.setattr(engine_mod, "_forward_walk", namespace["_forward_walk"])
         params = make_params(3.0)
-        values, steps, _ = sample_many(params, 4, 68)
         for i in range(4):
+            got = run_ciaftp(params, UniformStream(68, i))
             path, x_path = stepwise(params, UniformStream(68, i))
-            assert steps[i] == path.coalesce_index
-            assert values[i] != x_path[-1]
+            assert got.steps == path.coalesce_index
+            assert got.value != x_path[-1]

@@ -1,17 +1,18 @@
 """Byte identity against recorded output: the sha256 of ``sample_many``'s rows
-for a fixed set of cases, with one worker and with two, and of two ``trace``
-runs.
+for a fixed set of cases, from the compiled kernel in one call and in two,
+from a fresh build and from the fallback where no build succeeds, and of two
+``trace`` runs.
 
-The other engine tests compare paths with each other (the lockstep with
-``run_ciaftp``, one worker with several), so a change made alike to both
-sides passes them; these hashes compare with the past.  They change only
-with a declared change of the output bytes, which re-records them.
+The other engine tests compare paths with each other (the kernel with
+``run_ciaftp``), so a change made alike to both sides passes them; these
+hashes compare with the past.  They change only with a declared change of
+the output bytes, which re-records them.
 """
 
 import hashlib
-import math
 import os
-import sys
+import shutil
+import subprocess
 
 import pytest
 from click.testing import CliRunner
@@ -58,19 +59,60 @@ def rows_digest(values, steps, d0s):
     return hashlib.sha256(values.tobytes() + steps.tobytes() + d0s.tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=pytest.mark.skipif(
-    sys.platform != "linux", reason="sample_many forks only on Linux"))])
+@pytest.mark.parametrize("calls", [1, 2])
 @pytest.mark.parametrize("case", list(SAMPLES), ids=str)
-def test_sample_many_bytes(case, workers, monkeypatch):
+def test_sample_many_bytes(case, calls, monkeypatch):
     beta, n, seed, first_index = case
-    if workers == 1:
-        monkeypatch.setattr(engine_mod, "_FORK_WORK", math.inf)
-    else:
-        monkeypatch.setattr(engine_mod, "_FORK_WORK", 1e-9)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert engine_mod._workers(make_params(beta), n) == workers
-    got = sample_many(make_params(beta), n, seed, first_index=first_index)
+    params = make_params(beta)
+    # the kernel takes all rows in one call, or in two ranges of rows
+    rows = -(-n // calls)
+    monkeypatch.setattr(engine_mod, "_CALL_WORK", rows * engine_mod._power(params.x0, beta))
+    got = sample_many(params, n, seed, first_index=first_index)
     assert rows_digest(*got) == SAMPLES[case]
+
+
+@pytest.fixture
+def fresh_tree(tmp_path, monkeypatch):
+    """A copy of the kernel source with no compiled file beside it or in the
+    user cache, and the kernel not yet loaded."""
+    package = tmp_path / "vervaat"
+    package.mkdir()
+    monkeypatch.setattr(engine_mod, "_SOURCE", shutil.copy(engine_mod._SOURCE, package))
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    engine_mod._kernel.cache_clear()
+    yield tmp_path
+    engine_mod._kernel.cache_clear()
+
+
+@pytest.mark.parametrize("writable", [True, False])
+def test_a_fresh_tree_builds_the_kernel(fresh_tree, writable, monkeypatch):
+    # the build lands in the package directory, or in the user cache where
+    # that is not writable
+    package = str(fresh_tree / "vervaat")
+    if not writable:
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda p, mode: p != package and access(p, mode))
+    where = fresh_tree / "vervaat" if writable else fresh_tree / "home" / ".cache" / "vervaat"
+    for case in list(SAMPLES)[:3]:
+        beta, n, seed, first_index = case
+        got = sample_many(make_params(beta), n, seed, first_index=first_index)
+        assert rows_digest(*got) == SAMPLES[case]
+    assert [p.name.startswith("_kernel-") for p in where.glob("*.so")] == [True]
+    assert len(list(fresh_tree.rglob("*.so"))) == 1
+
+
+def test_a_failed_build_falls_back_to_run_ciaftp(fresh_tree, monkeypatch):
+    def failing(path, *defines):
+        raise subprocess.CalledProcessError(1, "cc", stderr=b"cc: no compiler here")
+
+    monkeypatch.setattr(engine_mod, "_build", failing)
+    with pytest.warns(UserWarning, match="no compiler here") as warned:
+        for case in [c for c in SAMPLES if c[1] <= 3000]:
+            beta, n, seed, first_index = case
+            got = sample_many(make_params(beta), n, seed, first_index=first_index)
+            assert rows_digest(*got) == SAMPLES[case]
+    assert len(warned) == 1  # once per process
+    assert not list(fresh_tree.rglob("*.so"))
 
 
 @pytest.mark.parametrize("args", list(TRACES), ids=" ".join)

@@ -204,10 +204,12 @@ class TestValidateRun:
         assert report.passed
 
     def test_detects_tampered_engine(self, monkeypatch):
-        # negate the collapse predicate inside the engine: coalescence is
-        # then declared on the wrong branch and the output law is wrong
+        # negate the collapse predicate of run_ciaftp, which then fills the
+        # rows: coalescence is declared on the wrong branch and the output
+        # law is wrong
         import vervaat.engine as engine_mod
 
+        monkeypatch.setattr(engine_mod, "_kernel", lambda: None)  # rows from run_ciaftp
         monkeypatch.setattr(
             engine_mod, "coupler_collapses", lambda x, w1: w1 > 1.0 / (1.0 + x)
         )

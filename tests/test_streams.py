@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from vervaat import UniformStream, geometric_half
-import vervaat.streams as streams_mod
-from vervaat.streams import BlockCache, philox_block
 
 from conftest import ScriptedStream
 
@@ -115,99 +113,7 @@ def test_uniform_mean():
     assert abs(u.mean() - 0.5) < 0.002
 
 
-# -- seeds of 64 bits and the vectorized Philox ------------------------------
-
-PHILOX_SEEDS = (0, 1, 2**63 + 12345, 2**64 - 1)
-PHILOX_INDICES = (0, 1, 77, 1 << 62)
-
-
-@pytest.mark.parametrize("seed", PHILOX_SEEDS)
-@pytest.mark.parametrize("index", PHILOX_INDICES)
-def test_philox_block_matches_numpy_philox(seed, index):
-    key = np.array([seed, index], dtype=np.uint64)
-    ref = np.random.Generator(np.random.Philox(key=key)).random(64)
-    got = np.concatenate([philox_block(seed, [index], b)[:, 0] for b in range(16)])
-    assert np.array_equal(got, ref)
-    assert np.array_equal(UniformStream(seed, index).uniforms(64), ref)
-
-
-def numpy_philox(seed, index, block):
-    """Uniforms ``4 * block .. 4 * block + 3`` of substream (seed, index),
-    drawn by numpy's own Philox."""
-    bits = np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
-    bits.advance(block)
-    return np.random.Generator(bits).random(4)
-
-
-@pytest.mark.parametrize("seed", [2**63, 2**63 + 12345, 2**64 - 1])
-def test_philox_block_folded_rounds_at_far_blocks(seed):
-    # key word 0 >= 2^63, and a counter word 0 far from 1: the folded first
-    # two rounds carry both
-    index = np.array([0, 5, 1 << 62, 2**64 - 1], dtype=np.uint64)
-    for block in (0, 1, 2**40):
-        want = np.array([numpy_philox(seed, int(i), block) for i in index]).T
-        assert np.array_equal(philox_block(seed, index, block), want)
-    blocks = np.array([2**40, 0, 1, 2**40], dtype=np.uint64)
-    want = np.array([numpy_philox(seed, int(i), int(b)) for i, b in zip(index, blocks)]).T
-    assert np.array_equal(philox_block(seed, index, blocks), want)
-
-
-@pytest.mark.parametrize("extra", [1, streams_mod._TILE_KEYS + 3])
-def test_block_cache_takes_more_rows_than_a_tile(extra):
-    # tile + 1 and 2 * tile + 3 stale rows, so the keys go to Philox in
-    # two and in three tiles: at one block number, then at one per row
-    seed, n = 2**63 + 7, streams_mod._TILE_KEYS + extra
-    index = np.arange(n, dtype=np.uint64) + np.uint64(1000)
-    rows = np.arange(n)
-    cache = BlockCache(seed, index)
-    want = [numpy_philox(seed, 1000 + r, 1)[2] for r in range(n)]
-    assert np.array_equal(cache.take(rows, 6), want)
-    pos = 4 * (2 + rows % 5) + rows % 4  # blocks 2 .. 6: every row is stale
-    want = [numpy_philox(seed, 1000 + r, 2 + r % 5)[r % 4] for r in range(n)]
-    assert np.array_equal(cache.take(rows, pos), want)
-
-
-def test_philox_block_per_row_block_numbers():
-    indices = np.arange(12)
-    blocks = np.arange(12) * 3
-    got = philox_block(5, indices, blocks)
-    for i, b in zip(indices.tolist(), blocks.tolist()):
-        ref = UniformStream(5, i).uniforms(4 * b + 4)[4 * b :]
-        assert np.array_equal(got[:, i], ref)
-
-
-@pytest.mark.parametrize("seed", [5, 2**64 - 1])
-def test_block_cache_take_matches_uniform_stream(seed):
-    index = np.array([0, 3, 1 << 62, 2**64 - 1], dtype=np.uint64)
-    ref = np.array([UniformStream(seed, int(i)).uniforms(40) for i in index])
-    cache = BlockCache(seed, index)
-    rows = np.arange(index.size)
-    for pos in (0, 3, 4, 7, 8, 2, 13, 39, 17):  # across blocks, and back
-        assert np.array_equal(cache.take(rows, pos), ref[:, pos])
-    sub = np.array([3, 1])
-    for pos in ([4, 0], [5, 5], [38, 9], [39, 35]):
-        assert np.array_equal(cache.take(sub, np.array(pos)), ref[sub, pos])
-    assert cache.take(rows[:0], 12).size == 0
-
-
-def test_block_cache_loads_a_block_only_when_a_row_leaves_it(monkeypatch):
-    loads = []
-
-    def spy(seed, index, block):
-        loads.append((index.tolist(), np.asarray(block).tolist()))
-        return philox_block(seed, index, block)
-
-    monkeypatch.setattr(streams_mod, "philox_block", spy)
-    cache = BlockCache(9, np.arange(4, dtype=np.uint64))
-    rows = np.arange(4)
-    for pos in range(8):
-        cache.take(rows, pos)
-    assert loads == [([0, 1, 2, 3], 0), ([0, 1, 2, 3], 1)]
-    loads.clear()
-    cache.take(rows, np.array([4, 7, 8, 1]))  # rows 2 and 3 leave block 1
-    cache.take(rows[2:], np.array([11, 1]))  # both now hold their block
-    cache.take(rows[:1], 6)
-    assert loads == [([2, 3], [2, 0])]
+# -- seeds of 64 bits ------------------------------------------------------
 
 
 def test_seeds_above_2_63_are_not_rounded():
