@@ -26,16 +26,15 @@ void vervaat_script(const uint64_t *pairs, const double *values, long long n) {
 
 static double uniform(stream *s) {
     if (s->word == 4) {
-        uint64_t k0 = s->key[0], k1 = s->key[1], x0 = ++s->block, x1 = 0, x2 = 0, x3 = 0;
+        uint64_t k0 = s->key[0], k1 = s->key[1], *x = s->words;
+        x[0] = ++s->block, x[1] = x[2] = x[3] = 0, s->word = 0;
         for (int r = 0; r < 10; r++, k0 += 0x9E3779B97F4A7C15u, k1 += 0xBB67AE8584CAA73Bu) {
-            u128 p0 = (u128)0xD2E7470EE14C6C93u * x0, p1 = (u128)0xCA5A826395121157u * x2;
-            x0 = (uint64_t)(p1 >> 64) ^ x1 ^ k0;
-            x1 = (uint64_t)p1;
-            x2 = (uint64_t)(p0 >> 64) ^ x3 ^ k1;
-            x3 = (uint64_t)p0;
+            u128 p0 = (u128)0xD2E7470EE14C6C93u * x[0], p1 = (u128)0xCA5A826395121157u * x[2];
+            x[0] = (uint64_t)(p1 >> 64) ^ x[1] ^ k0;
+            x[1] = (uint64_t)p1;
+            x[2] = (uint64_t)(p0 >> 64) ^ x[3] ^ k1;
+            x[3] = (uint64_t)p0;
         }
-        s->words[0] = x0, s->words[1] = x1, s->words[2] = x2, s->words[3] = x3;
-        s->word = 0;
     }
     double u = (double)(s->words[s->word++] >> 11) * 0x1.0p-53;
 #ifdef VERVAAT_SCRIPT

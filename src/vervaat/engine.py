@@ -387,15 +387,14 @@ def _kernel():
     try:
         with open(_SOURCE, "rb") as fh:
             digest = hashlib.sha256(fh.read() + " ".join(_CFLAGS).encode()).hexdigest()
-        name = f"_kernel-{digest}.so"
         # never a shared temporary directory, where another user could plant it
-        dirs = [os.path.dirname(_SOURCE), os.path.join(os.path.expanduser("~"), ".cache", "vervaat")]
-        path = next((os.path.join(d, name) for d in dirs if os.path.exists(os.path.join(d, name))),
-                    None)
-        if path is None:
-            where = dirs[0] if os.access(dirs[0], os.W_OK) else dirs[1]
+        where = os.path.dirname(_SOURCE)
+        if not os.access(where, os.W_OK):
+            where = os.path.join(os.path.expanduser("~"), ".cache", "vervaat")
+        path = os.path.join(where, f"_kernel-{digest}.so")
+        if not os.path.exists(path):
             os.makedirs(where, mode=0o700, exist_ok=True)
-            path = _build(os.path.join(where, name))
+            _build(path)
         return _load(path)
     except (OSError, subprocess.SubprocessError) as exc:
         why = getattr(exc, "stderr", None)
