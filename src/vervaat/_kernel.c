@@ -70,7 +70,7 @@ long long vervaat_rows(uint64_t seed, uint64_t first, long long n, double inv_be
                 if (!grown) { free(w); return -2; }
                 w = grown, cap *= 2;
             }
-            /* the forward move D(-t) -> D(-t+1) is up: impute on (2/3, 1) */
+            /* a forward up-move D(-t-1) -> D(-t) imputes on (2/3, 1) */
             w[t] = pow(prev == d + 1 ? two_thirds + u / 3.0 : two_thirds * u, inv_beta);
             if (w[t++] <= 1.0 / (1.0 + (double)d)) break;
         }

@@ -369,8 +369,8 @@ class TestBatchedEngine:
 
     @pytest.mark.parametrize("rows_per_call", [1, 7, 400])
     def test_the_first_abort_is_named_whatever_the_calls(self, rows_per_call, monkeypatch):
-        # sample_many calls the kernel over ranges of rows; the abort of a
-        # later range is never named before that of an earlier one
+        # sample_many calls the kernel over ranges of rows (of x0^beta = 5
+        # work each here); the abort of a later range is never named first
         monkeypatch.setattr(engine_mod, "_CALL_WORK", rows_per_call * 5)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StepBudgetWarning)
