@@ -323,15 +323,6 @@ class TestBatchedEngine:
         got = sample_many(params, n, seed, first_index=first_index)
         assert_same_rows(got, per_row(params, n, seed, first_index))
 
-    @pytest.mark.parametrize("seed", [0, 1, 2**63 + 12345, 2**64 - 1])
-    @pytest.mark.parametrize("index", [0, 1, 77, 1 << 62])
-    def test_philox_keys_of_64_bits(self, seed, index):
-        # the kernel's Philox against numpy's: walks of about 3,400 steps at
-        # beta = 3 read some 1,700 blocks of each substream
-        params = make_params(3.0)
-        got = sample_many(params, 3, seed, first_index=index)
-        assert_same_rows(got, per_row(params, 3, seed, index))
-
     @pytest.mark.parametrize("n", [0, 1, 10])
     def test_tiny_batches(self, dickman, n):
         assert_same_rows(sample_many(dickman, n, 46, 5), per_row(dickman, n, 46, 5))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vervaat import UniformStream, geometric_half
+from vervaat import UniformStream, geometric_half, make_params, run_ciaftp, sample_many
 
 from conftest import ScriptedStream
 
@@ -128,6 +128,23 @@ def test_negative_seed_is_its_64_bit_mask():
     assert fresh.seed == 2**64 - 5
     restarted = UniformStream(-5, 0).restart(3)
     assert np.array_equal(fresh.uniforms(16), restarted.uniforms(16))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 12345, 2**64 - 1])
+@pytest.mark.parametrize("index", [0, 1, 77, 1 << 62])
+def test_philox_block_matches_numpy_philox(seed, index):
+    # UniformStream and the compiled kernel's Philox blocks against numpy's
+    # own Philox: walks of about 3,400 steps at beta = 3 read some 1,700
+    # blocks of each substream
+    key = np.array([seed, index], dtype=np.uint64)
+    ref = np.random.Generator(np.random.Philox(key=key)).random(64)
+    assert np.array_equal(UniformStream(seed, index).uniforms(64), ref)
+    params = make_params(3.0)
+    rows = [run_ciaftp(params, UniformStream(seed, index + i)) for i in range(3)]
+    values, steps, d0s = sample_many(params, 3, seed, first_index=index)
+    assert np.array_equal(values, np.array([r.value for r in rows]))
+    assert steps.tolist() == [r.steps for r in rows]
+    assert d0s.tolist() == [r.d0 for r in rows]
 
 
 # -- geometric draws ---------------------------------------------------------
