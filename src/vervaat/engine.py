@@ -16,26 +16,18 @@ then per backward step a direction and an imputation (zeros redrawn), then
 the second drivers (from ``w2_stream`` if given).  Without zeros, uniforms
 2k - 1 and 2k drive step k and the second drivers start at 2T + 1.
 
-``run_ciaftp`` grows the walk in chunks as long as the walk so far, of at
-least x0^beta // 2 steps (x0^beta is the theorem's lower bound on E[T]) and
-at most 4096: the walk is a reflected (Lindley) random walk, so a chunk's
-states follow from a cumulative sum and minimum of its +-1 moves.  Where
-x0^beta < 128 (as at beta <= 2) it first takes 64 steps one at a time
-(``backward_extend``), so short walks touch no numpy.  Powers U ** (1/beta)
-of arrays go through ``np.float_power``, which is libm's ``pow`` element by
-element (a test pins it to ``**``); the forward pass reuses the W(1) that
-the chunks compute.
-
-``sample_many`` runs the same per-row loop in C (``_kernel.c``), one row
-after another in this process, 24 bytes per row of output.  The C code makes
-the same floating-point operations with libm's ``pow`` and ``log`` and draws
-numpy's Philox uniforms, so each row is bit for bit what ``run_ciaftp``
-draws on its substream.  Its first call compiles the source with Python's C
-compiler into the package directory, or into ``~/.cache/vervaat`` where that
-is not writable, and later calls and processes load that file.  Where no
-build succeeds, ``sample_many`` warns once and draws each row with
-``run_ciaftp``: the same bytes, more slowly.  Nothing else here starts a
-process.
+``run_ciaftp`` walks backwards one step at a time (``backward_extend``)
+and then forwards over the walk's W(1).  ``sample_many`` runs the same
+per-row loop in C (``_kernel.c``), one row after another in this process,
+24 bytes per row of output.  The C code makes the same floating-point
+operations with libm's ``pow`` and ``log`` and draws numpy's Philox
+uniforms, so each row is bit for bit what ``run_ciaftp`` draws on its
+substream.  Its first call compiles the source with Python's C compiler
+into the package directory, or into ``~/.cache/vervaat`` where that is not
+writable, and later calls and processes load that file; a new build removes
+the platform's older files there.  Where no build succeeds, ``sample_many``
+warns once and draws each row with ``run_ciaftp``: the same bytes, more
+slowly.  Nothing else here starts a process.
 """
 
 from __future__ import annotations
@@ -50,7 +42,6 @@ import subprocess
 import sysconfig
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -69,10 +60,6 @@ __all__ = [
 ]
 
 
-#: Steps that run_ciaftp takes one at a time where x0^beta < 2 * 64.
-_SCALAR_STEPS = 64
-#: Most steps in one chunk, backward or forward.
-_CHUNK_MAX = 4096
 #: The C source of sample_many's per-row loop.
 _SOURCE = os.path.join(os.path.dirname(__file__), "_kernel.c")
 #: Its compiler flags: no contraction into fused multiply-adds, which round
@@ -192,30 +179,21 @@ def run_ciaftp(
     ``w2_stream``, when given, supplies the second coupler drivers so that
     :func:`forward_reconstruct` can replay them; otherwise they are drawn
     from ``stream`` after the backward phase.  ``collect_path`` attaches
-    the backward path and the forward trajectory to the result.
+    the backward path and the forward trajectory to the result.  The
+    backward phase is :func:`backward_extend` until the walk coalesces, as in
+    ``_kernel.c``; it keeps the walk's states and imputed uniforms in lists.
 
     Raises :class:`StepBudgetError` if the backward phase exceeds
     ``params.step_budget`` steps (only plausible for large beta, where the
     expected step count x0^beta is itself enormous).
     """
     path = BackwardPath(d_states=[draw_initial_dominating(params, stream)])
-    # x0^beta, the theorem's lower bound on E[T] (capped: it overflows to
-    # inf above beta ~ 110), sizes the first chunk; walks expected to be
-    # short start with single steps.
-    first = int(min(_power(params.x0, params.beta), 2 * _CHUNK_MAX)) // 2
-    prefix = _SCALAR_STEPS if first < _SCALAR_STEPS else 0
-    while path.coalesce_index is None and len(path.imputed_u) < prefix:
+    while path.coalesce_index is None:
         if len(path.imputed_u) >= params.step_budget:
             raise StepBudgetError(params.beta, params.x0, params.step_budget, stream)
         backward_extend(params, path, stream)
     t_coal = path.coalesce_index
-    if t_coal is None:
-        t_coal, w = _backward_chunked(params, path, stream, collect_path, first)
-        # a slice at a time, so no list of a whole long path is ever built
-        drivers = chain.from_iterable(reversed(w[max(h - _CHUNK_MAX, 0) : h].tolist())
-                                      for h in range(t_coal - 1, 0, -_CHUNK_MAX))
-    else:
-        drivers = (u**params.inv_beta for u in reversed(path.imputed_u[: t_coal - 1]))
+    drivers = (u**params.inv_beta for u in reversed(path.imputed_u[: t_coal - 1]))
 
     w2s = stream if w2_stream is None else w2_stream
     x = w2s.next_uniform() ** params.inv_beta  # X(-T+1) = W(-T)(2), any start collapses here
@@ -228,70 +206,6 @@ def run_ciaftp(
         path=path if collect_path else None,
         x_path=x_path,
     )
-
-
-def _backward_chunked(params, path, stream, collect_path, first):
-    """Grow ``path`` in chunks as long as the walk so far, and at least
-    ``first`` steps (at most :data:`_CHUNK_MAX`), until it coalesces; return
-    T and the W(1) of all its steps as an array.  ``path`` itself is extended only
-    for ``collect_path``."""
-    u = path.imputed_u
-    w = [np.float_power(u, params.inv_beta)]
-    # D and U are kept only for collect_path: a walk that held them too grew
-    # the heap threefold, and freed it at the end of every row.
-    states, imputed = [np.array(path.d_states[1:], dtype=np.int64)], [np.array(u)]
-    t, d, t_coal = len(u), path.d_states[-1], None
-    while t_coal is None:
-        k = min(max(t, first), _CHUNK_MAX, params.step_budget - t)
-        if k <= 0:
-            raise StepBudgetError(params.beta, params.x0, params.step_budget, stream)
-        d_k, u_k, w_k, j = _backward_chunk(params, d, stream, k)
-        if j is not None:
-            d_k, u_k, w_k, t_coal = d_k[: j + 1], u_k[: j + 1], w_k[: j + 1], t + j + 1
-        w.append(w_k)
-        if collect_path:
-            states.append(d_k)
-            imputed.append(u_k)
-        t, d = t + u_k.size, int(d_k[-1])
-    if collect_path:
-        path.d_states[1:] = np.concatenate(states).tolist()
-        path.imputed_u[:] = np.concatenate(imputed).tolist()
-        path.coalesce_index = t_coal
-    return t_coal, np.concatenate(w)
-
-
-def _backward_chunk(params, d, stream, k):
-    """Up to ``k`` backward steps from D = ``d``: arrays of D, imputed U and
-    its W(1) per step, and the index j of the first step that coalesces
-    (None if none does), with ``stream`` left just after that step's uniforms.
-
-    The walk reflects at its floor (a Lindley recursion), so D(-i) = floor
-    + S_i + max(d - floor, -min_{h<=i} S_h) for the partial sums S of the
-    +-1 moves.  A chunk holding a zero imputation uniform, which
-    :func:`backward_extend` redraws, runs step by step."""
-    start = stream.position
-    u = stream.uniforms(2 * k)
-    u_raw = u[1::2]
-    if not u_raw.all():
-        part = BackwardPath(d_states=[d])
-        stream.seek(start)
-        while part.coalesce_index is None and len(part.imputed_u) < k:
-            backward_extend(params, part, stream)
-        j = None if part.coalesce_index is None else part.coalesce_index - 1
-        u_k = np.array(part.imputed_u)
-        return np.array(part.d_states[1:]), u_k, np.float_power(u_k, params.inv_beta), j
-    floor = params.x0 - 1
-    s = np.cumsum(np.where(u[0::2] > TWO_THIRDS, 1, -1))
-    d_k = floor + s + np.maximum(d - floor, -np.minimum.accumulate(s))
-    up = np.concatenate(([d], d_k[:-1])) == d_k + 1  # forward move D(-i) -> D(-i+1)
-    u_k = np.where(up, TWO_THIRDS + u_raw / 3.0, TWO_THIRDS * u_raw)
-    w_k = np.float_power(u_k, params.inv_beta)
-    hits = np.flatnonzero(coupler_collapses(d_k, w_k))
-    if not hits.size:
-        return d_k, u_k, w_k, None
-    j = int(hits[0])
-    stream.seek(start + 2 * (j + 1))
-    return d_k, u_k, w_k, j
 
 
 def _forward_walk(params, drivers, x, w2s, x_path=None):
@@ -391,10 +305,18 @@ def _kernel():
         where = os.path.dirname(_SOURCE)
         if not os.access(where, os.W_OK):
             where = os.path.join(os.path.expanduser("~"), ".cache", "vervaat")
-        path = os.path.join(where, f"_kernel-{digest}.so")
+        # the platform in the name: a cache shared by x86-64 and aarch64 holds both
+        prefix = f"_kernel-{sysconfig.get_platform()}-"
+        path = os.path.join(where, f"{prefix}{digest}.so")
         if not os.path.exists(path):
             os.makedirs(where, mode=0o700, exist_ok=True)
             _build(path)
+            # one file per platform; a *.tmp may be another process's build
+            for name in os.listdir(where):
+                old = os.path.join(where, name)
+                if name.startswith(prefix) and name.endswith(".so") and old != path:
+                    with contextlib.suppress(OSError):
+                        os.remove(old)
         return _load(path)
     except (OSError, subprocess.SubprocessError) as exc:
         why = getattr(exc, "stderr", None)

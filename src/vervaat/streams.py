@@ -134,8 +134,10 @@ def geometric_half(stream) -> int:
     """Draw G >= 1 with P(G = k) = 2^-k.
 
     Uses G = ceil(-ln(U) / ln 2).  A uniform equal to 0 (probability 2^-53
-    per draw) is rejected and redrawn so the log is always defined and the
-    geometric law is exact.
+    per draw) is rejected and redrawn so the log is always defined.  The law
+    is not quite exact: at U = 2^-j for j in {29, 31, 39, 47, 51} the rounded
+    quotient gives j + 1 where the law gives j, 5 * 2^-53 of mass per draw
+    (ROADMAP item 17).  ``_kernel.c`` computes the same G.
     """
     u = stream.next_uniform()
     while u == 0.0:

@@ -1,6 +1,9 @@
 import ctypes
 import inspect
 import math
+import shlex
+import shutil
+import sysconfig
 import textwrap
 import tracemalloc
 import warnings
@@ -29,32 +32,6 @@ from conftest import ScriptedStream, audit_path
 @pytest.fixture
 def dickman():
     return make_params(1.0)  # x0 = 5, floor 4, threshold 2/3
-
-
-@pytest.fixture(scope="module")
-def power_bases():
-    """1e6 imputation values and more: 333,334 uniforms under each of the
-    engine's maps u, 2/3 + u/3 and (2/3) u, and the edge values."""
-    u = np.random.default_rng(69).random(333_334)
-    edges = [0.0, 5e-324, 2.2250738585072014e-308, 1.0 - 2.0**-53, TWO_THIRDS]
-    x = np.concatenate([u, TWO_THIRDS + u / 3.0, TWO_THIRDS * u, edges])
-    return x, x.tolist()
-
-
-class TestFloatPower:
-    """The engine computes W = U ** (1/beta) of arrays with np.float_power,
-    which must be libm's pow, as ``**`` is, element by element.  numpy's
-    ``power`` is not on machines where it runs a SIMD loop; a numpy whose
-    ``float_power`` did so would fail here before any output byte changed."""
-
-    @pytest.mark.parametrize("beta", [0.25, 1 / 3, 0.5, 1.0, 1.52, 2.0, 3.0, 7.0])
-    def test_float_power_is_libm_pow(self, beta, power_bases):
-        x, xs = power_bases
-        inv_beta = 1.0 / beta
-        want = np.array([v**inv_beta for v in xs])
-        got = np.float_power(x, inv_beta)
-        assert got.dtype == np.float64
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestInitialState:
@@ -292,6 +269,14 @@ def script_kernel(script_library, monkeypatch):
     set_script(None, None, 0)
 
 
+@pytest.mark.parametrize("defines", [(), ("-DVERVAAT_SCRIPT",)], ids=["shipped", "script"])
+def test_the_kernel_builds_without_warnings(defines, tmp_path):
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    if shutil.which(cc[0]) is None:
+        pytest.skip(f"no C compiler {cc[0]!r}")
+    engine_mod._build(str(tmp_path / "strict.so"), "-Wall", "-Wextra", "-Werror", *defines)
+
+
 @pytest.fixture
 def zero_kernel(script_kernel):
     """Makes sample_many read 0 at the (index, position) pairs given to the
@@ -347,6 +332,13 @@ class TestBatchedEngine:
         for i in (3, 5, 8, longest):  # a redrawn zero shifts the rest of its row
             assert got[0][i] != plain[0][i]
 
+    def test_the_geometric_start_matches_geometric_half(self, dickman, script_kernel):
+        # where ceil(-log(u) / ln 2) misses the law (u = 2^-j), and beside it
+        u = [2.0**-j + e for j in (29, 31, 39, 47, 51) for e in (-(2.0**-53), 0.0, 2.0**-53)]
+        script_kernel({(i, 0): v for i, v in enumerate(u)})
+        d0s = sample_many(dickman, len(u), 49)[2]
+        assert d0s.tolist() == [draw_initial_dominating(dickman, ScriptedStream([v])) for v in u]
+
     def test_step_budget_error_for_the_first_row_that_aborts(self):
         with pytest.warns(StepBudgetWarning):
             params = make_params(1.0, step_budget=2)
@@ -392,6 +384,10 @@ class TestBatchedEngine:
         assert_same_rows(got, per_row(params, first, 75, stream_type=stream_type))
 
 
+#: Steps past which a walk counts as long in these tests.
+LONG_WALK = 64
+
+
 def stepwise(params, stream):
     """The per-step reference: backward_extend at every step, then the
     forward loop written out.  Returns (path, forward trajectory)."""
@@ -423,18 +419,9 @@ class ZeroAt(UniformStream):
         u = super().next_uniform()
         return 0.0 if pos in self.zeros else u
 
-    def uniforms(self, n):
-        pos = self.position
-        u = super().uniforms(n)
-        for p in self.zeros:
-            if pos <= p < pos + n:
-                u[p - pos] = 0.0
-        return u
-
 
 class ArrayStream:
-    """Replays a fixed array of uniforms, with the stream interface the
-    chunked walk uses (position, uniforms, seek)."""
+    """Replays a fixed array of uniforms, counting them in ``position``."""
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
@@ -443,14 +430,6 @@ class ArrayStream:
     def next_uniform(self):
         self.position += 1
         return float(self.values[self.position - 1])
-
-    def uniforms(self, n):
-        self.position += n
-        return self.values[self.position - n : self.position].copy()
-
-    def seek(self, position):
-        self.position = position
-        return self
 
 
 def kernel_row(params, u, script):
@@ -476,8 +455,9 @@ def assert_same_run(params, got, want_path, want_x):
 
 
 class TestChunkedBackward:
-    """Past the first _SCALAR_STEPS steps, _complete walks in chunks; every
-    run must be bit for bit the per-step replay."""
+    """run_ciaftp and the kernel on walks longer than LONG_WALK steps, at
+    step counts and budgets on both sides of powers of two, with zeros and
+    boundary collapses: every run must be bit for bit the per-step replay."""
 
     @pytest.mark.parametrize("beta, seed", [(2.0, 61), (3.0, 62)])
     def test_long_runs_match_the_per_step_replay(self, beta, seed):
@@ -486,15 +466,15 @@ class TestChunkedBackward:
         for idx in range(24):
             got = run_ciaftp(params, UniformStream(seed, idx), collect_path=True)
             assert_same_run(params, got, *stepwise(params, UniformStream(seed, idx)))
-            long_runs += got.steps > engine_mod._SCALAR_STEPS
+            long_runs += got.steps > LONG_WALK
         assert long_runs >= 8
 
     @pytest.mark.parametrize(
         "zeros",
         [
-            {2 * 100},  # imputation of step 100, inside the first chunk
+            {2 * 100},  # imputation of step 100
             {2 * 100 - 1},  # its direction: a valid down-move, no redraw
-            {2 * 65, 2 * 300},  # first step of a chunk, and a later chunk
+            {2 * 65, 2 * 300},  # two zeros in one walk
         ],
     )
     def test_zero_inside_a_chunk(self, zeros):
@@ -516,7 +496,7 @@ class TestChunkedBackward:
         exceeds 1/(1 + D) by an ulp, a near miss of the exact predicate.
         """
         rng = np.random.default_rng(t_coal)
-        u = rng.random(4 * t_coal + 200)  # a chunk may read past T
+        u = rng.random(4 * t_coal + 200)  # with the forward pass's up to T
         u[2::2] = 0.5 + u[2::2] / 2
         u[0] = 0.5  # D(0) = floor
         u[2 * t_coal - 1 : 2 * t_coal + 1] = 0.9, 1e-6  # backward up: U = 2/3 * 1e-6
@@ -647,7 +627,7 @@ class TestChunkedBackward:
         work = rows_per_call * engine_mod._power(params.x0, params.beta)
         monkeypatch.setattr(engine_mod, "_CALL_WORK", work)
         values, steps, d0s = sample_many(params, 40, 65, first_index=3)
-        assert (steps > engine_mod._SCALAR_STEPS).sum() >= 30
+        assert (steps > LONG_WALK).sum() >= 30
         for i in range(40):
             path, x_path = stepwise(params, UniformStream(65, 3 + i))
             assert (values[i], steps[i], d0s[i]) == (
@@ -663,32 +643,8 @@ def beta3_refs():
 
 
 class TestFirstChunk:
-    """Where x0^beta >= 2 * _SCALAR_STEPS (beta = 3: x0^beta = 3375), the
-    walk chunks from step 0, the first chunk x0^beta // 2 = 1687 steps."""
-
-    @pytest.mark.parametrize(
-        "beta, scalar_steps, sizes",
-        [
-            (1.0, 64, [64, 128, 256]),  # x0^beta = 5: the 64-step prefix, then doubling
-            (2.0, 64, [64, 128, 256]),  # x0^beta = 100 < 2 * 64
-            (3.0, 0, [1687, 1687, 3374, 4096]),
-        ],
-    )
-    def test_chunk_sizes(self, beta, scalar_steps, sizes, monkeypatch):
-        params = make_params(beta)
-        t_coal = scalar_steps + sum(sizes[:-1]) + 1
-        u = TestChunkedBackward.coalescing_at(params, t_coal)
-        single, chunks = [], []
-        extend, chunk = engine_mod.backward_extend, engine_mod._backward_chunk
-        monkeypatch.setattr(
-            engine_mod, "backward_extend", lambda *a: single.append(1) or extend(*a)
-        )
-        monkeypatch.setattr(
-            engine_mod, "_backward_chunk", lambda *a: chunks.append(a[-1]) or chunk(*a)
-        )
-        assert run_ciaftp(params, ArrayStream(u)).steps == t_coal
-        assert len(single) == scalar_steps
-        assert chunks == sizes
+    """Budget edges at beta = 3 (x0^beta = 3375, E[T] about 3948), from 64
+    steps to past the mean, with one adjacent pair."""
 
     @pytest.mark.parametrize("budget", [64, 1000, 1687, 1688, 5000])
     def test_step_budget_edge(self, budget):

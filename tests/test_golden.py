@@ -13,6 +13,7 @@ import hashlib
 import os
 import shutil
 import subprocess
+import sysconfig
 
 import pytest
 from click.testing import CliRunner
@@ -93,12 +94,22 @@ def test_a_fresh_tree_builds_the_kernel(fresh_tree, writable, monkeypatch):
         access = os.access
         monkeypatch.setattr(os, "access", lambda p, mode: p != package and access(p, mode))
     where = fresh_tree / "vervaat" if writable else fresh_tree / "home" / ".cache" / "vervaat"
+    # a build from an older source, another platform's build and another
+    # process's build in progress: only the first is removed
+    where.mkdir(parents=True, exist_ok=True)
+    platform = sysconfig.get_platform()
+    stale = where / f"_kernel-{platform}-{'0' * 64}.so"
+    other = where / f"_kernel-other-platform-{'0' * 64}.so"
+    building = where / f"_kernel-{platform}-{'0' * 64}.so.1.tmp"
+    for planted in (stale, other, building):
+        planted.write_bytes(b"")
     for case in list(SAMPLES)[:3]:
         beta, n, seed, first_index = case
         got = sample_many(make_params(beta), n, seed, first_index=first_index)
         assert rows_digest(*got) == SAMPLES[case]
-    assert [p.name.startswith("_kernel-") for p in where.glob("*.so")] == [True]
-    assert len(list(fresh_tree.rglob("*.so"))) == 1
+    assert not stale.exists() and other.exists() and building.exists()
+    assert len(list(where.glob(f"_kernel-{platform}-*.so"))) == 1
+    assert len(list(fresh_tree.rglob("*.so"))) == 2
 
 
 def test_a_failed_build_falls_back_to_run_ciaftp(fresh_tree, monkeypatch):
