@@ -1,10 +1,11 @@
 /* The sampler's per-row loop, as run_ciaftp draws a row: the geometric start,
    the backward walk until W(1) <= 1/(D + 1), then the forward pass.  Uniforms
    are numpy's Philox4x64-10 doubles, and every floating-point operation is the
-   Python code's (libm's pow and log), so the rows are the same bytes.  Built
-   and loaded by engine.py. */
+   Python code's (libm's pow and log), so the rows are the same bytes.  Also
+   the CSV rows of `sample`.  Built and loaded by engine.py. */
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
 #include <stdlib.h>
 
 typedef unsigned __int128 u128;
@@ -83,4 +84,65 @@ long long vervaat_rows(uint64_t seed, uint64_t first, long long n, double inv_be
     }
     free(w);
     return -1;
+}
+
+/* "%d" of v, a non-negative integer, at p; returns the end. */
+static char *put_uint(char *p, uint64_t v) {
+    char d[20];
+    int k = 20;
+    do d[--k] = (char)('0' + v % 10); while (v /= 10);
+    while (k < 20) *p++ = d[k++];
+    return p;
+}
+
+/* Python's "%.17g" % x at p; returns the end.  For 1e-4 <= x < 1e15 not an
+   integer, let e = floor(log10 x), so that 10^(16 - e) (at most 10^21) is an
+   exact double.  fma gives hi + lo = x * 10^(16 - e) exactly, and D = hi +
+   rint(lo).  Where D has 17 digits, hi >= 2^53 is an even integer, so
+   rounding lo half to even rounds the exact product half to even too: D is
+   the correctly rounded 17-digit significand that Python prints, and e is its
+   exponent.  A log10 off by one near a power of ten, or a product that rounds
+   up to 10^17, leaves D with 16 or 18 digits instead.  Those values, the ones
+   outside the range (0, subnormals, the exponent form, non-finite values) and
+   the integers (written without a '.') go to snprintf, which formats as
+   Python does, bar the sign of a NaN, in the "C" numeric locale that the CLI
+   never changes. */
+static char *put_double(char *p, double x) {
+    static const double p10[] = {1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+                                 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21};
+    if (x >= 1e-4 && x < 1e15 && x != floor(x)) {
+        int e = (int)floor(log10(x));
+        double hi = x * p10[16 - e], lo = fma(x, p10[16 - e], -hi);
+        long long D = (long long)hi + llrint(lo);
+        if (D >= 10000000000000000LL && D < 100000000000000000LL) {
+            char d[17];
+            int len = 17;
+            for (int k = 16; k >= 0; k--, D /= 10) d[k] = (char)('0' + D % 10);
+            while (d[len - 1] == '0') len--;
+            if (e < 0) *p++ = '0', *p++ = '.';
+            for (int k = -1; k > e; k--) *p++ = '0';  /* the zeros after "0." */
+            for (int k = 0; k < len; k++) {
+                *p++ = d[k];
+                if (k == e) *p++ = '.';
+            }
+            return p;
+        }
+    }
+    if (isnan(x)) x = fabs(x);
+    return p + snprintf(p, 25, "%.17g", x);
+}
+
+/* Rows first .. first + n - 1 as "%d,%.17g,%d,%d\n" of (index, values,
+   steps, d0s), steps and d0s non-negative, into out: at most 86 bytes a row
+   (20 + 24 + 19 + 19 + 4).  Returns the bytes written. */
+long long vervaat_csv(uint64_t first, long long n, const double *values,
+                      const long long *steps, const long long *d0s, char *out) {
+    char *p = out;
+    for (long long i = 0; i < n; i++) {
+        p = put_uint(p, first + (uint64_t)i), *p++ = ',';
+        p = put_double(p, values[i]), *p++ = ',';
+        p = put_uint(p, (uint64_t)steps[i]), *p++ = ',';
+        p = put_uint(p, (uint64_t)d0s[i]), *p++ = '\n';
+    }
+    return p - out;
 }

@@ -22,12 +22,14 @@ per-row loop in C (``_kernel.c``), one row after another in this process,
 24 bytes per row of output.  The C code makes the same floating-point
 operations with libm's ``pow`` and ``log`` and draws numpy's Philox
 uniforms, so each row is bit for bit what ``run_ciaftp`` draws on its
-substream.  Its first call compiles the source with Python's C compiler
-into the package directory, or into ``~/.cache/vervaat`` where that is not
-writable, and later calls and processes load that file; a new build removes
-the platform's older files there.  Where no build succeeds, ``sample_many``
-warns once and draws each row with ``run_ciaftp``: the same bytes, more
-slowly.  Nothing else here starts a process.
+substream.  The same file has ``sample``'s CSV writer, ``vervaat_csv``.
+The first use compiles it with Python's C compiler into the package
+directory, or into ``~/.cache/vervaat`` where that is not writable, and
+later calls and processes load that file; a new build removes the
+platform's older files there.  Where no build succeeds, ``sample_many``
+warns once and draws each row with ``run_ciaftp``, and ``sample`` formats
+the rows with ``%``: the same bytes, more slowly.  Nothing else here starts
+a process.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import ctypes
 import functools
 import hashlib
 import os
+import re
 import shlex
 import subprocess
 import sysconfig
@@ -60,7 +63,7 @@ __all__ = [
 ]
 
 
-#: The C source of sample_many's per-row loop.
+#: The C source of sample_many's per-row loop and sample's CSV writer.
 _SOURCE = os.path.join(os.path.dirname(__file__), "_kernel.c")
 #: Its compiler flags: no contraction into fused multiply-adds, which round
 #: differently from the Python code.
@@ -284,8 +287,8 @@ def sample_many(
     out = [a.ctypes.data for a in (values, steps, d0s)]  # 8 bytes per row each
     for lo in range(0, n, rows):
         m = min(rows, n - lo)
-        abort = kernel(int(seed) & _MASK64, first_index + lo, m, params.inv_beta, params.x0,
-                       budget, *(p + 8 * lo for p in out))
+        abort = kernel.vervaat_rows(int(seed) & _MASK64, first_index + lo, m, params.inv_beta,
+                                    params.x0, budget, *(p + 8 * lo for p in out))
         if abort == -2:
             raise MemoryError(f"no memory for the walks of rows {lo} .. {lo + m - 1}")
         if abort >= 0:
@@ -296,8 +299,8 @@ def sample_many(
 
 @functools.cache
 def _kernel():
-    """``vervaat_rows`` of the compiled :data:`_SOURCE`, built on first use;
-    None, after one warning, where it can be neither built nor loaded."""
+    """The compiled :data:`_SOURCE` as :func:`_load` returns it, built on first
+    use; None, after one warning, where it can be neither built nor loaded."""
     try:
         with open(_SOURCE, "rb") as fh:
             digest = hashlib.sha256(fh.read() + " ".join(_CFLAGS).encode()).hexdigest()
@@ -311,10 +314,12 @@ def _kernel():
         if not os.path.exists(path):
             os.makedirs(where, mode=0o700, exist_ok=True)
             _build(path)
-            # one file per platform; a *.tmp may be another process's build
+            # one file per platform, and none from before the platform was in
+            # the name; a *.tmp may be another process's build
             for name in os.listdir(where):
                 old = os.path.join(where, name)
-                if name.startswith(prefix) and name.endswith(".so") and old != path:
+                if old != path and (name.startswith(prefix) and name.endswith(".so")
+                                    or re.fullmatch(r"_kernel-[0-9a-f]{64}\.so", name)):
                     with contextlib.suppress(OSError):
                         os.remove(old)
         return _load(path)
@@ -322,17 +327,20 @@ def _kernel():
         why = getattr(exc, "stderr", None)
         why = why.decode(errors="replace").strip() if why else exc
         warnings.warn(f"could not build {_SOURCE} ({why}); sample_many draws each row "
-                      f"with run_ciaftp: the same rows, more slowly", stacklevel=3)
+                      f"with run_ciaftp, and sample formats rows with %: the same bytes, "
+                      f"more slowly", stacklevel=3)
         return None
 
 
 def _load(path):
-    """``vervaat_rows`` of the shared library ``path``, typed for ctypes."""
-    kernel = ctypes.CDLL(path).vervaat_rows
-    kernel.argtypes = [ctypes.c_uint64, ctypes.c_uint64, ctypes.c_longlong, ctypes.c_double,
-                       ctypes.c_longlong, ctypes.c_longlong] + [ctypes.c_void_p] * 3
-    kernel.restype = ctypes.c_longlong
-    return kernel
+    """The shared library ``path``, with ``vervaat_rows`` and ``vervaat_csv``
+    typed for ctypes."""
+    lib = ctypes.CDLL(path)
+    u64, i64, ptr = ctypes.c_uint64, ctypes.c_longlong, ctypes.c_void_p
+    lib.vervaat_rows.argtypes = [u64, u64, i64, ctypes.c_double, i64, i64, ptr, ptr, ptr]
+    lib.vervaat_csv.argtypes = [u64, i64, ptr, ptr, ptr, ctypes.c_char_p]
+    lib.vervaat_rows.restype = lib.vervaat_csv.restype = i64
+    return lib
 
 
 def _build(path, *defines):

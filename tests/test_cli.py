@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import vervaat.cli as cli_mod
 import vervaat.engine as engine_mod
 from vervaat import make_params, sample_many
-from vervaat.cli import _CSV_NUMPY_MIN, _CSV_ROWS, _csv_rows, _value_digits, main
+from vervaat.cli import _CSV_ROWS, _ROW_MAX, _csv_rows, main
 
 
 @pytest.fixture(scope="module")
@@ -93,19 +93,19 @@ class TestSample:
         r = CliRunner().invoke(main, list(args))
         assert r.exit_code == 2
 
-    def test_csv_rows_match_the_f_string_form(self):
-        """Both writers: ``%`` below the size crossover, numpy from it."""
+    def test_csv_rows_match_the_f_string_form(self, monkeypatch):
         tiny = np.nextafter(0.0, 1.0)
         values = np.array(
             [0.0, tiny, 2 * tiny, 2.2250738585072014e-308 - tiny, 1.0 - 2.0**-53,
-             1.0, 0.1, 1e-5, 123456.789, 1e22, 2.0**70]
+             1.0, 0.1, 1e-5, 123456.789, 1e22, 2.0**70, -np.nan]
             + np.random.default_rng(3).random(500).tolist()
         )
         steps = np.arange(1, values.size + 1, dtype=np.int64) * 7919
         d0s = np.arange(values.size, dtype=np.int64) % 13 + 4
-        for m in (_CSV_NUMPY_MIN - 1, values.size):
-            v, s, d = values[:m], steps[:m], d0s[:m]
-            assert _csv_rows(40, v, s, d) == f_string_rows(40, v, s, d)
+        for writer in both_writers(monkeypatch):
+            for m in (1, values.size):
+                v, s, d = values[:m], steps[:m], d0s[:m]
+                assert _csv_rows(40, v, s, d) == f_string_rows(40, v, s, d), writer
 
     @pytest.mark.filterwarnings("ignore::vervaat.StepBudgetWarning")
     def test_budget_abort_names_the_row(self):
@@ -318,6 +318,14 @@ class TestTrace:
         assert r.exit_code == 2
 
 
+def both_writers(monkeypatch):
+    """Yields the name of the kernel's CSV writer, then, with no kernel, of
+    ``%``."""
+    yield "vervaat_csv"
+    monkeypatch.setattr(engine_mod, "_kernel", lambda: None)
+    yield "%"
+
+
 def f_string_rows(first, values, steps, d0s):
     return "".join(
         f"{i},{v:.17g},{s},{d}\n"
@@ -340,7 +348,7 @@ def percent_rows(first, values, steps, d0s):
 
 
 def writer_values(rng, n_random):
-    """Floats that stress the numpy CSV writer, followed by 4 * n_random
+    """Floats that stress the CSV writer, followed by 4 * n_random
     random ones: zeros, subnormals and the smallest normal, integers,
     non-finite values, the exact ties N / 2^17 for odd N in [2^17, 10 * 2^17)
     (17 decimals, so digit 18 is a 5), and 10^k with 3 neighbours on each side
@@ -367,8 +375,8 @@ def writer_values(rng, n_random):
     return np.concatenate([special, near, ties, randoms])
 
 
-def check_writer(values, rng):
-    """Compare the writer with the ``%`` form over chunks of ``_CSV_ROWS``
+def check_writer(values, rng, writer):
+    """Compare ``writer`` with the ``%`` form over chunks of ``_CSV_ROWS``
     rows, whose index columns cross powers of ten and 2^32, with steps from 0
     to 2^62."""
     starts = [0, 9_990, 99_900, 10**8 - 4000, 2**32 - 4000, 10**12 - 100]
@@ -388,22 +396,76 @@ def check_writer(values, rng):
             bad = next(
                 (g, w) for g, w in zip(got.split("\n"), want.split("\n")) if g != w
             )
-            pytest.fail(f"chunk {c}: wrote {bad[0]!r}, want {bad[1]!r}")
+            pytest.fail(f"{writer}, chunk {c}: wrote {bad[0]!r}, want {bad[1]!r}")
 
 
 class TestCsvWriter:
-    """The numpy writer against ``%``, on about 10^6 values."""
+    """Both writers against ``%``, on about 10^6 values."""
 
-    def test_matches_the_percent_form(self):
-        rng = np.random.default_rng(13)
-        check_writer(writer_values(rng, 80_000), rng)
+    def test_matches_the_percent_form(self, monkeypatch):
+        for writer in both_writers(monkeypatch):
+            rng = np.random.default_rng(13)
+            check_writer(writer_values(rng, 80_000), rng, writer)
 
-    def test_fast_path_covers_the_fixed_range(self):
-        """Only rows near a power of ten, and integers, take the ``%``
-        fallback; an exponent off by one would send every row there."""
-        x = 10.0 ** np.random.default_rng(5).uniform(-4, 15, 100_000)
-        _, _, slow = _value_digits(x)
-        assert slow.mean() < 0.01
+    def test_the_widest_row(self, monkeypatch):
+        """A 20-digit index, a 24-character value, and steps and d0 of 19
+        digits: _ROW_MAX bytes."""
+        m = 3
+        values = np.full(m, -2.2250738585072014e-308)
+        top = np.full(m, 2**63 - 1)
+        for writer in both_writers(monkeypatch):
+            got = _csv_rows(2**64 - m, values, top, top)
+            assert got == percent_rows(2**64 - m, values, top, top), writer
+            assert len(got) == _ROW_MAX * m
+
+
+#: The sanitizer test's child: the rows and CSV text of the build at argv[1]
+#: against the shipped kernel's rows and ``%``, on the columns in argv[2].
+_UBSAN_CHILD = """
+import sys
+import numpy as np
+import vervaat.engine as engine
+from vervaat import make_params, sample_many
+from vervaat.cli import _CSV_ROWS, _csv_rows
+
+try:
+    ubsan = engine._load(sys.argv[1])
+except OSError as exc:
+    sys.exit(f"skip: {exc}")
+cases = [(0.25, 20_000), (1.0, 20_000), (3.0, 100)]
+want = [sample_many(make_params(beta), n, 0) for beta, n in cases]
+engine._kernel = lambda: ubsan
+for (beta, n), rows in zip(cases, want):
+    assert all(map(np.array_equal, sample_many(make_params(beta), n, 0), rows)), beta
+cols = np.load(sys.argv[2])
+chunks = [[c[lo : lo + _CSV_ROWS] for c in (cols["values"], cols["steps"], cols["d0s"])]
+          for lo in range(0, len(cols["values"]), _CSV_ROWS)]
+got = [_csv_rows(lo, *chunk) for lo, chunk in enumerate(chunks)]
+engine._kernel = lambda: None
+assert got == [_csv_rows(lo, *chunk) for lo, chunk in enumerate(chunks)]
+"""
+
+
+def test_an_undefined_behaviour_build_writes_the_same_bytes(tmp_path):
+    """The kernel built with -fsanitize=undefined, in a child process, which
+    a report ends: its rows at beta 0.25, 1 and 3, and its CSV text on the
+    writer's test values."""
+    try:
+        path = engine_mod._build(str(tmp_path / "ubsan.so"), "-fsanitize=undefined",
+                                 "-fno-sanitize-recover=all")
+    except subprocess.CalledProcessError as exc:
+        if b"ubsan" not in exc.stderr and b"sanitize" not in exc.stderr:
+            raise
+        pytest.skip(f"no sanitizer runtime: {exc.stderr.decode(errors='replace')}")
+    rng = np.random.default_rng(17)
+    values = writer_values(rng, 80_000)
+    np.savez(tmp_path / "cols.npz", values=values, steps=rng.integers(0, 2**63, values.size),
+             d0s=rng.integers(0, 40, values.size))
+    r = subprocess.run([sys.executable, "-c", _UBSAN_CHILD, path, str(tmp_path / "cols.npz")],
+                       capture_output=True, env=subprocess_env(), text=True, timeout=300)
+    if r.returncode and r.stderr.startswith("skip: "):
+        pytest.skip(r.stderr)
+    assert r.returncode == 0, r.stderr
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")

@@ -1,6 +1,7 @@
 """Byte identity against recorded output: the sha256 of ``sample_many``'s rows
 for a fixed set of cases, from the compiled kernel in one call and in two,
-from a fresh build and from the fallback where no build succeeds, and of two
+from a fresh build and from the fallback where no build succeeds, of
+``sample``'s CSV text with the kernel's writer and with ``%``, and of two
 ``trace`` runs.
 
 The other engine tests compare paths with each other (the kernel with
@@ -45,6 +46,19 @@ SAMPLES = {
         "a4625542c576f33b6c885009e841c7cb49d2caff3892215429222f0c98f548dc",
     (2.2, 1024, 0, 0):
         "3fea822dee80568450d27d5c186365d6e1375d9d7faf0ec186a9d1c815c7a931",
+}
+
+#: ``sample`` arguments -> sha256 of its CSV output.  At beta = 0.25 about
+#: 9 % of the values are below 1e-4, which ``%.17g`` writes in exponent form.
+CSVS = {
+    ("--beta", "0.25", "--n", "100000", "--seed", "0"):
+        "aa931ffd2f871bafad907d0df7a5c878c291b28495ac9835bb98d121476297f4",
+    ("--beta", "1", "--n", "100000", "--seed", "0"):
+        "e050955c11b6b9e692db2b44b8c93f0999ab2ea26234da3af4c9741c0fdf1a3c",
+    ("--beta", "3", "--n", "400", "--seed", "0"):
+        "cc6149631aeae5a219d208e4285ed3f791268277c7da5be2bb97329db664fe3a",
+    ("--beta", "1", "--n", "10", "--seed", "0"):
+        "ff02b261816900dba662425e80b1e9aaa55dd59a73b7f451667c647c9388b067",
 }
 
 #: ``trace`` arguments -> sha256 of its output.
@@ -94,20 +108,23 @@ def test_a_fresh_tree_builds_the_kernel(fresh_tree, writable, monkeypatch):
         access = os.access
         monkeypatch.setattr(os, "access", lambda p, mode: p != package and access(p, mode))
     where = fresh_tree / "vervaat" if writable else fresh_tree / "home" / ".cache" / "vervaat"
-    # a build from an older source, another platform's build and another
-    # process's build in progress: only the first is removed
+    # a build from an older source, one named before the platform was,
+    # another platform's build and another process's build in progress: only
+    # the first two are removed
     where.mkdir(parents=True, exist_ok=True)
     platform = sysconfig.get_platform()
     stale = where / f"_kernel-{platform}-{'0' * 64}.so"
+    unnamed = where / f"_kernel-{'ab' * 32}.so"
     other = where / f"_kernel-other-platform-{'0' * 64}.so"
     building = where / f"_kernel-{platform}-{'0' * 64}.so.1.tmp"
-    for planted in (stale, other, building):
+    for planted in (stale, unnamed, other, building):
         planted.write_bytes(b"")
     for case in list(SAMPLES)[:3]:
         beta, n, seed, first_index = case
         got = sample_many(make_params(beta), n, seed, first_index=first_index)
         assert rows_digest(*got) == SAMPLES[case]
-    assert not stale.exists() and other.exists() and building.exists()
+    assert not stale.exists() and not unnamed.exists()
+    assert other.exists() and building.exists()
     assert len(list(where.glob(f"_kernel-{platform}-*.so"))) == 1
     assert len(list(fresh_tree.rglob("*.so"))) == 2
 
@@ -131,3 +148,21 @@ def test_trace_bytes(args):
     r = CliRunner().invoke(main, ["trace", *args], catch_exceptions=False)
     assert r.exit_code == 0
     assert hashlib.sha256(r.stdout_bytes).hexdigest() == TRACES[args]
+
+
+def sample_csv_digest(args):
+    r = CliRunner().invoke(main, ["sample", *args], catch_exceptions=False)
+    assert r.exit_code == 0
+    return hashlib.sha256(r.stdout_bytes).hexdigest()
+
+
+@pytest.mark.parametrize("args", list(CSVS), ids=" ".join)
+def test_sample_csv_bytes(args):
+    assert sample_csv_digest(args) == CSVS[args]
+
+
+def test_sample_csv_bytes_without_the_kernel(monkeypatch):
+    # rows from run_ciaftp, text from %
+    monkeypatch.setattr(engine_mod, "_kernel", lambda: None)
+    args = ("--beta", "1", "--n", "10", "--seed", "0")
+    assert sample_csv_digest(args) == CSVS[args]
