@@ -38,7 +38,7 @@ _ROW_MAX = 20 + 24 + 19 + 19 + 4
 #: length, and the bracket reaches the solver tolerance by about 50.
 _MAX_TRUNCATION = 10_000
 #: Largest ``sample --n``: a run holds 24 bytes per row over a fixed 38 MB
-#: (62 MB at n = 10^6), so about 2.4 GB at this size.
+#: (61 MB at n = 10^6), so about 2.4 GB at this size.
 _MAX_SAMPLE_N = 10**8
 #: Largest ``validate --n``: a run holds about 40 bytes per row over a fixed
 #: 36 MB (76 MB at n = 10^6), so about 0.4 GB at this size.
@@ -59,18 +59,15 @@ def _fmt(x: float) -> str:
 
 def _csv_rows(first: int, values, steps, d0s) -> str:
     """CSV lines ``index,y_value,steps,d0`` for rows first, first + 1, ...,
-    byte for byte ``"%d,%.17g,%d,%d\\n"`` of each row.
-
-    ``values`` is float64 and ``steps`` and ``d0s`` non-negative int64, each
-    contiguous.
-    """
+    byte for byte ``"%d,%.17g,%d,%d\\n"`` of each row: ``values`` float64,
+    ``steps`` and ``d0s`` non-negative int64, all of one length."""
     m = len(values)
     kernel = engine._kernel()
     if kernel is None:
         rows = zip(range(first, first + m), values.tolist(), steps.tolist(), d0s.tolist())
         return ("%d,%.17g,%d,%d\n" * m) % tuple(itertools.chain.from_iterable(rows))
     out = ctypes.create_string_buffer(_ROW_MAX * m)
-    size = kernel.vervaat_csv(first, m, *(a.ctypes.data for a in (values, steps, d0s)), out)
+    size = kernel.vervaat_csv(first, m, values, steps, d0s, out)
     return ctypes.string_at(out, size).decode("ascii")
 
 

@@ -22,14 +22,13 @@ per-row loop in C (``_kernel.c``), one row after another in this process,
 24 bytes per row of output.  The C code makes the same floating-point
 operations with libm's ``pow`` and ``log`` and draws numpy's Philox
 uniforms, so each row is bit for bit what ``run_ciaftp`` draws on its
-substream.  The same file has ``sample``'s CSV writer, ``vervaat_csv``.
-The first use compiles it with Python's C compiler into the package
-directory, or into ``~/.cache/vervaat`` where that is not writable, and
-later calls and processes load that file; a new build removes the
-platform's older files there.  Where no build succeeds, ``sample_many``
-warns once and draws each row with ``run_ciaftp``, and ``sample`` formats
-the rows with ``%``: the same bytes, more slowly.  Nothing else here starts
-a process.
+substream.  The file also holds ``sample``'s CSV writer.  Its first use
+compiles it with Python's C compiler into the package directory, or into
+``~/.cache/vervaat`` where that is not writable, and later calls and
+processes load that file; a new build removes the platform's older files
+there.  Where no build succeeds, ``sample_many`` warns once and draws each
+row with ``run_ciaftp``, and ``sample`` formats with ``%``: the same bytes,
+more slowly.  Nothing else here starts a process.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.ctypeslib import ndpointer
 
 from .streams import _MASK64, UniformStream, geometric_half
 from .updates import TWO_THIRDS, VervaatParams, _power, coupler_collapses
@@ -338,7 +338,9 @@ def _load(path):
     lib = ctypes.CDLL(path)
     u64, i64, ptr = ctypes.c_uint64, ctypes.c_longlong, ctypes.c_void_p
     lib.vervaat_rows.argtypes = [u64, u64, i64, ctypes.c_double, i64, i64, ptr, ptr, ptr]
-    lib.vervaat_csv.argtypes = [u64, i64, ptr, ptr, ptr, ctypes.c_char_p]
+    # the CSV columns as arrays, whose dtype and contiguity ctypes checks
+    lib.vervaat_csv.argtypes = [u64, i64, ndpointer(np.float64, flags="C"),
+                                *[ndpointer(np.int64, flags="C")] * 2, ctypes.c_char_p]
     lib.vervaat_rows.restype = lib.vervaat_csv.restype = i64
     return lib
 

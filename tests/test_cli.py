@@ -437,12 +437,13 @@ want = [sample_many(make_params(beta), n, 0) for beta, n in cases]
 engine._kernel = lambda: ubsan
 for (beta, n), rows in zip(cases, want):
     assert all(map(np.array_equal, sample_many(make_params(beta), n, 0), rows)), beta
-cols = np.load(sys.argv[2])
-chunks = [[c[lo : lo + _CSV_ROWS] for c in (cols["values"], cols["steps"], cols["d0s"])]
-          for lo in range(0, len(cols["values"]), _CSV_ROWS)]
-got = [_csv_rows(lo, *chunk) for lo, chunk in enumerate(chunks)]
+with np.load(sys.argv[2]) as cols:
+    columns = [cols[name] for name in ("values", "steps", "d0s")]
+chunks = [(lo, *(c[lo : lo + _CSV_ROWS] for c in columns))
+          for lo in range(0, len(columns[0]), _CSV_ROWS)]
+got = [_csv_rows(*chunk) for chunk in chunks]
 engine._kernel = lambda: None
-assert got == [_csv_rows(lo, *chunk) for lo, chunk in enumerate(chunks)]
+assert got == [_csv_rows(*chunk) for chunk in chunks]
 """
 
 
